@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from nfl_lines.cli import main
 
-from conftest import DIVISIONS, FIXTURE_GAMES
+from conftest import DIVISIONS, FIXTURE_GAMES, REPO
 
 DATA_ARGS = ["--games", str(FIXTURE_GAMES), "--divisions", str(DIVISIONS)]
 
@@ -194,3 +196,29 @@ def test_full_pipeline(tmp_path, capsys):
     ):
         assert main(argv) == 0
         capsys.readouterr()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_DATA_ARGS = [
+    "--games", str(REPO / "data" / "fixtures" / "games.csv"),
+    "--divisions", str(REPO / "data" / "fixtures" / "divisions.csv"),
+]
+GOLDEN_COMMANDS = {
+    "ingest-check.txt": ["ingest-check"],
+    "summary.txt": ["summary"],
+    "hist-ld.svg": ["hist", "--metric", "ld", "--format", "svg"],
+    "gof.txt": ["gof"],
+    "simulate-2002.csv": ["simulate", "--season", "2002", "--replications", "1000"],
+    "predict-divisions.csv": ["predict-divisions"],
+    "backtest-home-underdog.txt": ["backtest", "--strategy", "home-underdog"],
+    "backtest-all-favorites-open.txt": ["backtest", "--strategy", "all-favorites", "--line", "open"],
+    "movement.txt": ["movement"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name, capsys):
+    """Stdout on the fixture is byte-identical to the committed golden file."""
+    code, out, _ = run(capsys, *GOLDEN_COMMANDS[name], *GOLDEN_DATA_ARGS)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
