@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .backtest import (
@@ -19,9 +20,8 @@ from .backtest import (
     break_even_ratio,
     compare_to_breakeven,
     run_strategy,
-    yearly_cover_series,
 )
-from .dataset import Dataset, load_dataset
+from .dataset import Dataset, GameRecord, load_dataset
 from .metrics import (
     favorite_ats_summary,
     histogram,
@@ -61,18 +61,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    games_path: Path
-    divisions_path: Path
-    seasons: tuple[int, int] | None
-    seed: int
-    replications: int
-    output_dir: Path | None
-    format: str = "text"
-    include_postseason: bool = False
-
-
 def _parse_season_range(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -87,44 +75,14 @@ def _parse_season_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    data_dir = os.environ.get(ENV_DATA_DIR)
-    games = args.games or (Path(data_dir) / "games.csv" if data_dir else None)
-    divisions = args.divisions or (Path(data_dir) / "divisions.csv" if data_dir else None)
-    if games is None or divisions is None:
-        raise UsageError(
-            f"--games/--divisions are required (or set ${ENV_DATA_DIR} to a directory "
-            "holding games.csv and divisions.csv)"
-        )
-    seasons = _parse_season_range(args.seasons) if getattr(args, "seasons", None) else None
-    out_dir = Path(args.output_dir) if getattr(args, "output_dir", None) else None
-    return RunConfig(
-        games_path=Path(games),
-        divisions_path=Path(divisions),
-        seasons=seasons,
-        seed=getattr(args, "seed", 0),
-        replications=getattr(args, "replications", 1000),
-        output_dir=out_dir,
-        format=getattr(args, "format", "text"),
-        include_postseason=getattr(args, "include_postseason", False),
-    )
-
-
-def _load(config: RunConfig) -> Dataset:
-    ds = load_dataset(config.games_path, config.divisions_path)
-    return ds.filter(seasons=config.seasons, regular_season_only=not config.include_postseason)
-
-
 def _emit(data: str, args: argparse.Namespace, default_name: str) -> None:
     """Write the data stream to --out, into --output-dir, or to stdout."""
-    out = getattr(args, "out", None)
-    out_dir = getattr(args, "output_dir", None)
-    if out:
-        path = Path(out)
-        if out_dir and not path.is_absolute():
-            path = Path(out_dir) / path
-    elif out_dir:
-        path = Path(out_dir) / default_name
+    if args.out:
+        path = Path(args.out)
+        if args.output_dir and not path.is_absolute():
+            path = Path(args.output_dir) / path
+    elif args.output_dir:
+        path = Path(args.output_dir) / default_name
     else:
         sys.stdout.write(data)
         return
@@ -133,23 +91,23 @@ def _emit(data: str, args: argparse.Namespace, default_name: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def cmd_ingest_check(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
+def _games_per_season(ds: Dataset) -> list[tuple[int, int]]:
+    return sorted(Counter(g.season for g in ds).items())
+
+
+def cmd_ingest_check(ds: Dataset, args: argparse.Namespace) -> int:
     lines = [f"games: {len(ds)}", f"teams: {len(ds.divisions.teams)}", "divisions: 8x4 ok"]
-    for season in ds.seasons():
-        lines.append(f"  season {season}: {len(ds.filter(seasons=season))} games")
+    for season, count in _games_per_season(ds):
+        lines.append(f"  season {season}: {count} games")
     _emit("\n".join(lines) + "\n", args, "ingest_check.txt")
     return 0
 
 
-def cmd_summary(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
+def cmd_summary(ds: Dataset, args: argparse.Namespace) -> int:
     ref = REFERENCE_2002_2011
     lines = [f"games: {len(ds)} (reference 2002-2011: {ref['games']})"]
-    for season in ds.seasons():
-        lines.append(f"  season {season}: {len(ds.filter(seasons=season))}")
+    for season, count in _games_per_season(ds):
+        lines.append(f"  season {season}: {count}")
     if len(ds):
         su_home = sum(1 for g in ds if g.home_margin > 0)
         su_decided = sum(1 for g in ds if g.home_margin != 0)
@@ -177,22 +135,20 @@ def cmd_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-_HIST_DEFAULT_WIDTH = {"closing-line": 0.5, "ld": 1.0, "movement": 0.5}
+#: hist --metric name -> (per-game value, default bin width)
+_HIST_METRICS: dict[str, tuple[Callable[[GameRecord], float], float]] = {
+    "closing-line": (lambda g: g.line_close, 0.5),
+    "ld": (line_difference, 1.0),
+    "movement": (line_movement, 0.5),
+}
 
 
-def cmd_hist(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
+def cmd_hist(ds: Dataset, args: argparse.Namespace) -> int:
     metric = args.metric
-    if metric == "closing-line":
-        values = [g.line_close for g in ds]
-    elif metric == "ld":
-        values = [line_difference(g) for g in ds]
-    else:
-        values = [line_movement(g) for g in ds]
-    width = args.bin_width if args.bin_width is not None else _HIST_DEFAULT_WIDTH[metric]
+    value_of, default_width = _HIST_METRICS[metric]
+    width = args.bin_width if args.bin_width is not None else default_width
     # origin at -width/2 puts bin centers on multiples of the width
-    hist = histogram(values, width, origin=-width / 2)
+    hist = histogram([value_of(g) for g in ds], width, origin=-width / 2)
     if args.format == "svg":
         _emit(histogram_svg(hist, title=metric), args, f"hist_{metric}.svg")
     else:
@@ -200,9 +156,7 @@ def cmd_hist(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gof(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
+def cmd_gof(ds: Dataset, args: argparse.Namespace) -> int:
     values = [line_difference(g) for g in ds]
     result = chi_square_gof(values, sigma=args.sigma, bin_width=args.bin_width, min_expected=args.min_expected)
     verdict = "rejected" if result.reject_at_05 else "not rejected"
@@ -218,28 +172,22 @@ def cmd_gof(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
-    model = WinModel(sigma=args.sigma)
-    schedule = build_schedule(ds, args.season, model)
-    result = simulate(schedule, config.replications, config.seed, workers=args.workers)
-    predictions = predict_division_winners(result, schedule, ds.divisions)
-    correct, total = score_predictions(predictions)
+def cmd_simulate(ds: Dataset, args: argparse.Namespace) -> int:
+    schedule = build_schedule(ds, args.season, WinModel(sigma=args.sigma))
+    result = simulate(schedule, args.replications, args.seed, workers=args.workers)
+    correct, total = score_predictions(predict_division_winners(result, schedule, ds.divisions))
     _emit(simulation_to_csv(result, schedule, ds.divisions), args, f"simulate_{args.season}.csv")
     print(f"division winners predicted: {correct}/{total}", file=sys.stderr)
     return 0
 
 
-def cmd_predict_divisions(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
+def cmd_predict_divisions(ds: Dataset, args: argparse.Namespace) -> int:
     model = WinModel(sigma=args.sigma)
     lines = ["season,correct,total"]
     grand_correct = grand_total = 0
     for season in ds.seasons():
         schedule = build_schedule(ds, season, model)
-        result = simulate(schedule, config.replications, config.seed, workers=args.workers)
+        result = simulate(schedule, args.replications, args.seed, workers=args.workers)
         correct, total = score_predictions(predict_division_winners(result, schedule, ds.divisions))
         grand_correct += correct
         grand_total += total
@@ -249,9 +197,7 @@ def cmd_predict_divisions(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
+def cmd_backtest(ds: Dataset, args: argparse.Namespace) -> int:
     strategy = BUILTIN_STRATEGIES[args.strategy]
     ledger = run_strategy(ds, strategy, stake=args.stake, win_payout=args.payout, line=args.line)
     ref = REFERENCE_2002_2011
@@ -272,10 +218,10 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         lines.append(f"z vs 0.5: {z_even.z:+.3f}; z vs break-even: {z_vig.z:+.3f}")
     if strategy.name == "home-underdog":
         lines.append(f"reference 2002-2011 home-underdog ratio: {ref['home_underdog_ratio']:.3f}")
-    series = yearly_cover_series(ds, strategy, line=args.line)
-    for season, ratio in series.items():
-        summary = ledger.per_season[season]
-        lines.append(f"  {season}: {summary.wins}-{summary.losses} ({ratio:.3f})")
+    # seasons with no decided bet are left out, as in yearly_cover_series
+    for season, summary in ledger.per_season.items():
+        if summary.wins + summary.losses > 0:
+            lines.append(f"  {season}: {summary.wins}-{summary.losses} ({summary.win_ratio:.3f})")
     if ledger.wins + ledger.losses > 0:
         mirror = _mirror_check(ds, args)
         if mirror is not None:
@@ -293,9 +239,7 @@ def _mirror_check(ds: Dataset, args: argparse.Namespace) -> bool | None:
     return fav.wins == dog.losses and fav.losses == dog.wins and fav.pushes == dog.pushes
 
 
-def cmd_movement(args: argparse.Namespace) -> int:
-    config = _config(args)
-    ds = _load(config)
+def cmd_movement(ds: Dataset, args: argparse.Namespace) -> int:
     lines = []
     for threshold in (1.0, 2.0):
         weekly = movement_fraction_by_week(ds, threshold)
@@ -312,13 +256,11 @@ def cmd_movement(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_data_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--games", help=f"games CSV (default ${ENV_DATA_DIR}/games.csv)")
-    sub.add_argument("--divisions", help=f"divisions CSV (default ${ENV_DATA_DIR}/divisions.csv)")
-    sub.add_argument("--seasons", help="season or range, e.g. 2007 or 2002..2011")
-    sub.add_argument("--include-postseason", action="store_true", help="keep weeks above 17")
-    sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--output-dir", help="directory for derived artifacts")
+def _add_simulation_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--replications", type=int, default=1000)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,68 +272,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("ingest-check", help="parse and validate the input files")
-    _add_data_args(p)
-    p.set_defaults(func=cmd_ingest_check)
+    def command(name: str, func: Callable, help: str) -> argparse.ArgumentParser:
+        """A subcommand with the data and output flags every command shares."""
+        sub = subs.add_parser(name, help=help)
+        sub.add_argument("--games", help=f"games CSV (default ${ENV_DATA_DIR}/games.csv)")
+        sub.add_argument("--divisions", help=f"divisions CSV (default ${ENV_DATA_DIR}/divisions.csv)")
+        sub.add_argument("--seasons", help="season or range, e.g. 2007 or 2002..2011")
+        sub.add_argument("--include-postseason", action="store_true", help="keep weeks above 17")
+        sub.add_argument("--out", help="write output to this file instead of stdout")
+        sub.add_argument("--output-dir", help="directory for derived artifacts")
+        sub.set_defaults(func=func)
+        return sub
 
-    p = subs.add_parser("summary", help="dataset counts, win rates, line-error moments")
-    _add_data_args(p)
-    p.set_defaults(func=cmd_summary)
+    command("ingest-check", cmd_ingest_check, "parse and validate the input files")
+    command("summary", cmd_summary, "dataset counts, win rates, line-error moments")
 
-    p = subs.add_parser("hist", help="histogram of a per-game metric (CSV or SVG)")
-    _add_data_args(p)
-    p.add_argument("--metric", choices=("closing-line", "ld", "movement"), required=True)
+    p = command("hist", cmd_hist, "histogram of a per-game metric (CSV or SVG)")
+    p.add_argument("--metric", choices=tuple(_HIST_METRICS), required=True)
     p.add_argument("--bin-width", type=float, default=None)
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p.set_defaults(func=cmd_hist)
 
-    p = subs.add_parser("gof", help="chi-squared fit of line error vs a zero-mean Gaussian")
-    _add_data_args(p)
+    p = command("gof", cmd_gof, "chi-squared fit of line error vs a zero-mean Gaussian")
     p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     p.add_argument("--bin-width", type=float, default=2.0)
     p.add_argument("--min-expected", type=float, default=5.0)
-    p.set_defaults(func=cmd_gof)
 
-    p = subs.add_parser("simulate", help="Monte Carlo season simulation (CSV per team)")
-    _add_data_args(p)
+    p = command("simulate", cmd_simulate, "Monte Carlo season simulation (CSV per team)")
     p.add_argument("--season", type=int, required=True)
-    p.add_argument("--replications", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    p.set_defaults(func=cmd_simulate)
+    _add_simulation_args(p)
 
-    p = subs.add_parser("predict-divisions", help="division-winner accuracy per season")
-    _add_data_args(p)
-    p.add_argument("--replications", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    p.set_defaults(func=cmd_predict_divisions)
+    p = command("predict-divisions", cmd_predict_divisions, "division-winner accuracy per season")
+    _add_simulation_args(p)
 
-    p = subs.add_parser("backtest", help="evaluate a betting strategy against history")
-    _add_data_args(p)
+    p = command("backtest", cmd_backtest, "evaluate a betting strategy against history")
     p.add_argument("--strategy", choices=sorted(BUILTIN_STRATEGIES), required=True)
     p.add_argument("--stake", type=float, default=110.0)
     p.add_argument("--payout", type=float, default=100.0)
     p.add_argument("--line", choices=("close", "open"), default="close")
-    p.set_defaults(func=cmd_backtest)
 
-    p = subs.add_parser("movement", help="line-movement fractions by week and cumulative counts")
-    _add_data_args(p)
-    p.set_defaults(func=cmd_movement)
+    command("movement", cmd_movement, "line-movement fractions by week and cumulative counts")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, load and filter the data once, and run the command on it."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors with code 2
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        data_dir = os.environ.get(ENV_DATA_DIR)
+        games = args.games or (Path(data_dir) / "games.csv" if data_dir else None)
+        divisions = args.divisions or (Path(data_dir) / "divisions.csv" if data_dir else None)
+        if games is None or divisions is None:
+            raise UsageError(
+                f"--games/--divisions are required (or set ${ENV_DATA_DIR} to a directory "
+                "holding games.csv and divisions.csv)"
+            )
+        seasons = _parse_season_range(args.seasons) if args.seasons else None
+        ds = load_dataset(games, divisions)
+        ds = ds.filter(seasons=seasons, regular_season_only=not args.include_postseason)
+        return args.func(ds, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -136,6 +136,8 @@ class GameRecord:
             raise DatasetError("team codes must be non-empty")
         if self.home == self.away:
             raise DatasetError(f"home and away are both {self.home!r}")
+        if self.week < 1:
+            raise DatasetError(f"week must be at least 1, got {self.week}")
         if self.home_score < 0 or self.away_score < 0:
             raise DatasetError(f"scores must be non-negative, got {self.home_score}-{self.away_score}")
         for line in (self.line_open, self.line_close):
@@ -328,15 +330,12 @@ def parse_games(csv_text: str) -> list[GameRecord]:
             line_close = float(get("line_close"))
         except (ValueError, TypeError) as exc:
             raise MalformedRowError(rownum, str(exc)) from None
-        for line in (line_open, line_close):
-            if not _is_half_point(line):
-                raise NonHalfPointSpreadError(line, row=rownum)
         try:
             record = GameRecord(
                 season, week, date, home, away, home_score, away_score, line_open, line_close
             )
-        except NonHalfPointSpreadError:
-            raise
+        except NonHalfPointSpreadError as exc:
+            raise NonHalfPointSpreadError(exc.value, row=rownum) from None
         except DatasetError as exc:
             raise MalformedRowError(rownum, str(exc)) from None
         if record.key in seen:
@@ -401,11 +400,11 @@ def games_to_csv(games: Iterable[GameRecord]) -> str:
 
 
 def load_games(path: str | Path) -> list[GameRecord]:
-    return parse_games(Path(path).read_text(encoding="utf-8"))
+    return parse_games(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def load_divisions(path: str | Path) -> DivisionMap:
-    return parse_divisions(Path(path).read_text(encoding="utf-8"))
+    return parse_divisions(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def load_dataset(games_path: str | Path, divisions_path: str | Path) -> Dataset:

@@ -133,7 +133,8 @@ def simulate(
     def run_block(start: int, stop: int) -> np.ndarray:
         block = np.zeros((stop - start, n_teams), dtype=np.int64)
         for r in range(start, stop):
-            stream = np.random.Generator(np.random.Philox(key=[seed64, r]))
+            # a uint64 key: a list would pass seeds of 2**63 and above through float64
+            stream = np.random.Generator(np.random.Philox(key=np.array([seed64, r], dtype=np.uint64)))
             home_win = stream.random(n_games) < probs
             block[r - start] = np.bincount(home_idx[home_win], minlength=n_teams) + np.bincount(
                 away_idx[~home_win], minlength=n_teams

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -145,5 +144,8 @@ def chi_square_gof(
 
     statistic = float(sum((o - e) ** 2 / e for o, e in zip(obs, exp)))
     dof = len(exp) - 1
-    critical = float(_chi2.ppf(0.95, dof))
+    # imported here so that loading the package does not pay for scipy
+    from scipy.special import chdtri
+
+    critical = float(chdtri(dof, 0.05))
     return GofResult(statistic, dof, len(exp), critical, statistic > critical, tuple(obs), tuple(exp))

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from nfl_lines import __version__
 from nfl_lines.cli import main
 
 from conftest import DIVISIONS, FIXTURE_GAMES, REPO
@@ -222,3 +226,21 @@ def test_golden_output(name, capsys):
     code, out, _ = run(capsys, *GOLDEN_COMMANDS[name], *GOLDEN_DATA_ARGS)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import nfl_lines.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_python_m_version():
+    proc = _python("-m", "nfl_lines", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"nfl-lines {__version__}"

@@ -16,11 +16,12 @@ from nfl_lines.dataset import (
     WrongTeamCountError,
     favorite_of,
     games_to_csv,
+    load_dataset,
     parse_divisions,
     parse_games,
 )
 
-from conftest import DIVISIONS, game_records, make_dataset, make_game
+from conftest import DIVISIONS, FIXTURE_GAMES, game_records, make_dataset, make_game
 
 HEADER = "season,week,date,home,away,home_score,away_score,line_open,line_close"
 
@@ -76,6 +77,20 @@ def test_parse_duplicate_game():
 def test_parse_accepts_crlf():
     text = HEADER + "\r\n2007,1,2007-09-09,NYJ,NE,14,38,-6,-7\r\n"
     assert len(parse_games(text)) == 1
+
+
+def test_load_accepts_utf8_bom(tmp_path):
+    games = tmp_path / "games.csv"
+    divisions = tmp_path / "divisions.csv"
+    games.write_bytes(b"\xef\xbb\xbf" + FIXTURE_GAMES.read_bytes())
+    divisions.write_bytes(b"\xef\xbb\xbf" + DIVISIONS.read_bytes())
+    assert len(load_dataset(games, divisions)) == 524
+
+
+def test_parse_week_zero_rejected():
+    with pytest.raises(MalformedRowError) as err:
+        parse_games(HEADER + "\n2007,0,2007-09-09,NYJ,NE,14,38,-6,-7\n")
+    assert err.value.row == 2
 
 
 def test_same_team_both_sides_rejected():

@@ -96,6 +96,14 @@ def test_simulate_worker_count_is_invisible(regular_dataset):
     assert np.array_equal(serial.win_samples, threaded.win_samples)
 
 
+@pytest.mark.parametrize("seed_a, seed_b", [(-1, 0), (2**63, 2**63 + 1)])
+def test_simulate_distinct_seeds_give_distinct_streams(regular_dataset, seed_a, seed_b):
+    schedule = build_schedule(regular_dataset, 2002, MODEL)
+    a = simulate(schedule, 50, seed=seed_a, keep_samples=True)
+    b = simulate(schedule, 50, seed=seed_b, keep_samples=True)
+    assert not np.array_equal(a.win_samples, b.win_samples)
+
+
 def test_simulate_conservation(regular_dataset):
     schedule = build_schedule(regular_dataset, 2003, MODEL)
     result = simulate(schedule, 100, seed=3, keep_samples=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import chi2
 
 from nfl_lines.stats import (
     DegenerateBinningError,
@@ -150,6 +151,13 @@ def test_gof_permutation_invariant():
     a = chi_square_gof(values, 10.0)
     b = chi_square_gof(values[::-1].copy(), 10.0)
     assert a.statistic == b.statistic
+
+
+@pytest.mark.parametrize("n, bin_width", [(100, 4.0), (500, 2.0), (2000, 1.0), (20000, 0.5)])
+def test_gof_critical_value_matches_chi2_ppf(n, bin_width):
+    values = np.random.default_rng(3).normal(0.0, 13.588, n)
+    result = chi_square_gof(values, 13.588, bin_width=bin_width)
+    assert result.critical_value == pytest.approx(chi2.ppf(0.95, result.degrees_of_freedom), abs=1e-9)
 
 
 def test_gof_insufficient_data():
