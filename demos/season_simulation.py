@@ -27,7 +27,7 @@ ds = load_dataset(DATA / "fixtures" / "games.csv", DATA / "divisions.csv")
 schedule = build_schedule(ds, SEASON, WinModel())
 print(f"season {SEASON}: {len(schedule.entries)} games, {len(schedule.teams)} teams")
 
-result = simulate(schedule, replications=1000, seed=2002, workers=4)
+result = simulate(schedule, replications=1000, seed=2002)
 predictions = predict_division_winners(result, schedule, ds.divisions)
 correct, total = score_predictions(predictions)
 print(f"division winners predicted correctly: {correct}/{total}\n")

@@ -259,7 +259,7 @@ def cmd_movement(ds: Dataset, args: argparse.Namespace) -> int:
 def _add_simulation_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--replications", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     sub.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
 
 
@@ -345,3 +345,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -33,6 +33,9 @@ DIVISION_NAMES = ("East", "North", "South", "West")
 #: Weeks above this are treated as postseason for this era.
 REGULAR_SEASON_MAX_WEEK = 17
 
+#: Largest spread magnitude accepted, in points; NFL lines stay far below it.
+MAX_ABS_SPREAD = 60.0
+
 
 class DatasetError(ValueError):
     """Base class for ingestion/validation failures."""
@@ -118,7 +121,9 @@ def _is_half_point(value: float) -> bool:
 class GameRecord:
     """One game: teams, final scores, opening and closing spreads.
 
-    Spreads are in the home-positive frame and must be multiples of 0.5.
+    Spreads are in the home-positive frame, must be multiples of 0.5 and
+    at most ``MAX_ABS_SPREAD`` in magnitude. The date's year is the
+    season's or the next one (January and February playoff games).
     """
 
     season: int
@@ -136,11 +141,17 @@ class GameRecord:
             raise DatasetError("team codes must be non-empty")
         if self.home == self.away:
             raise DatasetError(f"home and away are both {self.home!r}")
+        if self.season < 0:
+            raise DatasetError(f"season must be non-negative, got {self.season}")
         if self.week < 1:
             raise DatasetError(f"week must be at least 1, got {self.week}")
+        if not 0 <= self.date.year - self.season <= 1:
+            raise DatasetError(f"date {self.date.isoformat()} is outside season {self.season}")
         if self.home_score < 0 or self.away_score < 0:
             raise DatasetError(f"scores must be non-negative, got {self.home_score}-{self.away_score}")
         for line in (self.line_open, self.line_close):
+            if not -MAX_ABS_SPREAD <= line <= MAX_ABS_SPREAD:  # also rejects nan
+                raise DatasetError(f"spread {line!r} is beyond the {MAX_ABS_SPREAD:g}-point cap")
             if not _is_half_point(line):
                 raise NonHalfPointSpreadError(line)
 
@@ -287,7 +298,11 @@ def _as_range(value: int | tuple[int, int] | None) -> tuple[int, int] | None:
 
 def _split_rows(csv_text: str) -> list[list[str]]:
     # splitlines() handles LF and CRLF alike
-    return [row for row in csv.reader(csv_text.splitlines())]
+    reader = csv.reader(csv_text.splitlines())
+    try:
+        return list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRowError(reader.line_num, str(exc)) from None
 
 
 def _header_index(header: Sequence[str], required: Sequence[str]) -> dict[str, int]:

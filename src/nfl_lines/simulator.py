@@ -1,9 +1,9 @@
 """Seeded Monte Carlo simulation of seasons from per-game win probabilities.
 
 Randomness is drawn from Philox streams keyed on (seed, replication index),
-with the draw position within a stream fixed by the game index. Results are
-therefore bit-identical for a given seed no matter how replications are
-partitioned across workers.
+with the draw position within a stream fixed by the game index. One Philox
+generator is re-keyed to each replication's stream in turn, in one thread,
+so results are bit-identical for a given seed whatever ``workers`` says.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +20,9 @@ from .dataset import Dataset, DivisionMap, GameRecord, UnknownTeamError
 from .prob_model import WinModel, win_probability
 
 GAMES_PER_TEAM = 16
+
+#: Replications drawn per uniform block; about 1 MB of draws for a season.
+SIM_BLOCK = 512
 
 
 class MissingSeasonError(ValueError):
@@ -78,13 +80,7 @@ def build_schedule(dataset: Dataset, season: int, model: WinModel) -> SeasonSche
         entries.append(ScheduleEntry(i, g.home, g.away, win_probability(model, g.line_close)))
         counts[g.home] += 1
         counts[g.away] += 1
-        if g.home_margin > 0:
-            wins[g.home] += 1.0
-        elif g.home_margin < 0:
-            wins[g.away] += 1.0
-        else:
-            wins[g.home] += 0.5
-            wins[g.away] += 0.5
+        _credit_result(wins, g)
     short = sorted(t for t, c in counts.items() if c != GAMES_PER_TEAM)
     if short:
         warnings.warn(
@@ -94,6 +90,13 @@ def build_schedule(dataset: Dataset, season: int, model: WinModel) -> SeasonSche
         )
     actual = {t: wins.get(t, 0.0) for t in sorted(counts)}
     return SeasonSchedule(season, tuple(entries), actual, tuple(season_ds.games))
+
+
+def _credit_result(tally: dict[str, float], g: GameRecord) -> None:
+    """Add one straight-up result to ``tally``: a win, or half each for a tie."""
+    home_share = 1.0 if g.home_margin > 0 else 0.0 if g.home_margin < 0 else 0.5
+    tally[g.home] += home_share
+    tally[g.away] += 1.0 - home_share
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,8 @@ def simulate(
 
     Each game resolves independently as a home win with its scheduled
     probability, one uniform draw per (replication, game). Predicted wins
-    are the per-team means rounded half-up.
+    are the per-team means rounded half-up. ``workers`` is accepted for
+    compatibility and has no effect.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -127,35 +131,32 @@ def simulate(
     home_idx = np.array([index[e.home] for e in schedule.entries], dtype=np.intp)
     away_idx = np.array([index[e.away] for e in schedule.entries], dtype=np.intp)
     n_teams = len(teams)
-    n_games = len(schedule.entries)
+    # wins = home_win @ incidence (+1 home, -1 away) + away games, exact in float32
+    eye = np.eye(n_teams, dtype=np.float32)
+    incidence = eye[home_idx] - eye[away_idx]
+    away_games = np.bincount(away_idx, minlength=n_teams)
+    # one Philox, reset for each r to a new Philox(key=[seed64, r])'s state: same
+    # stream, no build; a uint64 key, as a list would pass seeds >= 2**63 through float64
     seed64 = int(seed) & (2**64 - 1)
-
-    def run_block(start: int, stop: int) -> np.ndarray:
-        block = np.zeros((stop - start, n_teams), dtype=np.int64)
-        for r in range(start, stop):
-            # a uint64 key: a list would pass seeds of 2**63 and above through float64
-            stream = np.random.Generator(np.random.Philox(key=np.array([seed64, r], dtype=np.uint64)))
-            home_win = stream.random(n_games) < probs
-            block[r - start] = np.bincount(home_idx[home_win], minlength=n_teams) + np.bincount(
-                away_idx[~home_win], minlength=n_teams
-            )
-        return block
-
-    if workers <= 1:
-        blocks = [run_block(0, replications)]
-    else:
-        bounds = np.linspace(0, replications, workers + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda span: run_block(*span), spans))
-
+    bit_gen = np.random.Philox(key=np.array([seed64, 0], dtype=np.uint64))
+    fresh = bit_gen.state  # a copy: counter zero, buffer empty
+    stream = np.random.Generator(bit_gen)
+    draws = np.empty((min(SIM_BLOCK, replications), len(probs)))
     totals = np.zeros(n_teams, dtype=np.int64)
-    for b in blocks:
-        totals += b.sum(axis=0)
+    samples = np.empty((replications, n_teams), dtype=np.int64) if keep_samples else None
+    for start in range(0, replications, SIM_BLOCK):
+        stop = min(start + SIM_BLOCK, replications)
+        for r in range(start, stop):
+            fresh["state"]["key"][1] = r
+            bit_gen.state = fresh
+            stream.random(out=draws[r - start])
+        wins = ((draws[: stop - start] < probs) @ incidence).astype(np.int64) + away_games
+        totals += wins.sum(axis=0)
+        if samples is not None:
+            samples[start:stop] = wins
     mean = totals / replications
     mean_wins = {t: float(mean[i]) for t, i in index.items()}
     predicted = {t: int(math.floor(mean[i] + 0.5)) for t, i in index.items()}
-    samples = np.vstack(blocks) if keep_samples else None
     return SimulationResult(replications, seed64, teams, mean_wins, predicted, samples)
 
 
@@ -215,13 +216,7 @@ def _actual_division_winner(teams: Sequence[str], schedule: SeasonSchedule) -> t
     group = set(leaders)
     for g in schedule.games:
         if g.home in group and g.away in group:
-            if g.home_margin > 0:
-                h2h[g.home] += 1.0
-            elif g.home_margin < 0:
-                h2h[g.away] += 1.0
-            else:
-                h2h[g.home] += 0.5
-                h2h[g.away] += 0.5
+            _credit_result(h2h, g)
     top = max(h2h.values())
     winner = min(t for t in leaders if h2h[t] == top)
     return winner, True

@@ -244,3 +244,9 @@ def test_python_m_version():
     proc = _python("-m", "nfl_lines", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"nfl-lines {__version__}"
+
+
+def test_python_m_cli_version():
+    proc = _python("-m", "nfl_lines.cli", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"nfl-lines {__version__}"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nfl_lines.dataset import (
     Dataset,
+    DatasetError,
     DuplicateGameError,
     MalformedRowError,
     MissingColumnError,
@@ -91,6 +92,68 @@ def test_parse_week_zero_rejected():
     with pytest.raises(MalformedRowError) as err:
         parse_games(HEADER + "\n2007,0,2007-09-09,NYJ,NE,14,38,-6,-7\n")
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize("spread", ["1e300", "60.5", "-61", "inf", "nan"])
+def test_parse_out_of_range_spread_rejected(spread):
+    with pytest.raises(MalformedRowError) as err:
+        parse_games(HEADER + f"\n2007,1,2007-09-09,NYJ,NE,14,38,-6,{spread}\n")
+    assert err.value.row == 2
+
+
+def test_parse_largest_spread_accepted():
+    assert len(parse_games(HEADER + "\n2007,1,2007-09-09,NYJ,NE,14,38,60,-60\n")) == 1
+
+
+def test_parse_negative_season_rejected():
+    with pytest.raises(MalformedRowError) as err:
+        parse_games(HEADER + "\n2007,1,2007-09-09,NYJ,NE,14,38,-6,-7\n-5,1,0001-09-09,NYJ,NE,14,38,-6,-7\n")
+    assert err.value.row == 3
+
+
+@pytest.mark.parametrize("day", ["1990-09-09", "2006-12-31", "2009-01-04"])
+def test_parse_date_outside_season_rejected(day):
+    with pytest.raises(MalformedRowError) as err:
+        parse_games(HEADER + f"\n2007,1,{day},NYJ,NE,14,38,-6,-7\n")
+    assert err.value.row == 2
+
+
+def test_parse_oversized_field_rejected():
+    with pytest.raises(MalformedRowError) as err:
+        parse_games(HEADER + "\n" + "x" * 200_000 + "\n")
+    assert err.value.row == 2
+
+
+_FIELD = st.one_of(
+    st.text(max_size=12),
+    st.integers(-3, 2030).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.dates().map(date.isoformat),
+    st.sampled_from(["NE", "NYJ", "AFC", "NFC", "East", "North", "1e300", "-0", '"']),
+)
+
+
+def _csv_text(header):
+    rows = st.lists(st.lists(_FIELD, min_size=1, max_size=10).map(",".join), max_size=5)
+    return st.one_of(st.text(), rows.map(lambda lines: "\n".join([header, *lines])))
+
+
+@given(_csv_text(HEADER))
+@settings(max_examples=200, deadline=None)
+def test_fuzz_parse_games_raises_only_dataset_error(text):
+    try:
+        parse_games(text)
+    except DatasetError:
+        pass
+
+
+@given(_csv_text("team,conference,division"))
+@settings(max_examples=200, deadline=None)
+def test_fuzz_parse_divisions_raises_only_dataset_error(text):
+    try:
+        parse_divisions(text)
+    except DatasetError:
+        pass
 
 
 def test_same_team_both_sides_rejected():

@@ -6,6 +6,7 @@ import pytest
 from nfl_lines.dataset import UnknownTeamError
 from nfl_lines.prob_model import WinModel, expected_wins, poisson_binomial
 from nfl_lines.simulator import (
+    SIM_BLOCK,
     DivisionPrediction,
     IncompleteScheduleWarning,
     MissingSeasonError,
@@ -102,6 +103,50 @@ def test_simulate_distinct_seeds_give_distinct_streams(regular_dataset, seed_a, 
     a = simulate(schedule, 50, seed=seed_a, keep_samples=True)
     b = simulate(schedule, 50, seed=seed_b, keep_samples=True)
     assert not np.array_equal(a.win_samples, b.win_samples)
+
+
+def _reference_win_samples(schedule, replications, seed):
+    """One fresh Philox(key=[seed64, r]) per replication, wins by bincount."""
+    teams = schedule.teams
+    index = {t: i for i, t in enumerate(teams)}
+    probs = np.array([e.home_win_prob for e in schedule.entries])
+    home_idx = np.array([index[e.home] for e in schedule.entries], dtype=np.intp)
+    away_idx = np.array([index[e.away] for e in schedule.entries], dtype=np.intp)
+    seed64 = int(seed) & (2**64 - 1)
+    samples = np.zeros((replications, len(teams)), dtype=np.int64)
+    for r in range(replications):
+        stream = np.random.Generator(np.random.Philox(key=np.array([seed64, r], dtype=np.uint64)))
+        home_win = stream.random(len(probs)) < probs
+        samples[r] = np.bincount(home_idx[home_win], minlength=len(teams)) + np.bincount(
+            away_idx[~home_win], minlength=len(teams)
+        )
+    return samples
+
+
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 1])
+@pytest.mark.parametrize("replications", [1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1])
+def test_simulate_matches_one_philox_per_replication(regular_dataset, seed, replications):
+    schedule = build_schedule(regular_dataset, 2002, MODEL)
+    kept = simulate(schedule, replications, seed=seed, keep_samples=True)
+    assert np.array_equal(kept.win_samples, _reference_win_samples(schedule, replications, seed))
+    assert kept.mean_wins == simulate(schedule, replications, seed=seed).mean_wins
+
+
+def _plain(state):
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+
+def test_rekeyed_philox_state_equals_fresh_construction():
+    # the reset simulate() makes before each replication, on a used generator
+    seed64 = (-1) & (2**64 - 1)
+    bit_gen = np.random.Philox(key=np.array([seed64, 0], dtype=np.uint64))
+    fresh = bit_gen.state
+    np.random.Generator(bit_gen).random(7)  # leave a part-used buffer behind
+    for r in (1, SIM_BLOCK, 2**40, 0):
+        fresh["state"]["key"][1] = r
+        bit_gen.state = fresh
+        fresh_built = np.random.Philox(key=np.array([seed64, r], dtype=np.uint64))
+        assert _plain(bit_gen.state) == _plain(fresh_built.state)
 
 
 def test_simulate_conservation(regular_dataset):
