@@ -7,10 +7,13 @@ refund the stake and are excluded from win-ratio denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
-from .dataset import Dataset, GameRecord, GameSide
+import numpy as np
+
+from .dataset import GAME_COLUMNS, Dataset, GameRecord, GameSide, _checked_record
 from .metrics import AtsOutcome, ats_outcome
 
 DEFAULT_STAKE = 110.0
@@ -27,10 +30,17 @@ class NoDecidedBetsError(ValueError):
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named rule mapping a game to a bet side, or None to pass."""
+    """A named rule mapping a game to a bet side, or None to pass.
+
+    A built-in also carries ``rule``, ``(accepts, side)``: it bets ``side``
+    wherever ``accepts(spread)`` holds, and ``accepts`` takes the chosen
+    spread as a float or as a whole column. ``run_strategy`` applies rules
+    to the column; any other strategy has its selector called per game.
+    """
 
     name: str
     selector: Callable[[GameRecord], GameSide | None]
+    rule: tuple[Callable, GameSide] | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, game: GameRecord) -> GameSide | None:
         return self.selector(game)
@@ -41,11 +51,15 @@ def when(name: str, predicate: Callable[[GameRecord], bool], side: GameSide) -> 
     return Strategy(name, lambda g: side if predicate(g) else None)
 
 
-HOME_UNDERDOG = when("home-underdog", lambda g: g.line_close < 0, GameSide.HOME)
-HOME_FAVORITE = when("home-favorite", lambda g: g.line_close > 0, GameSide.HOME)
-ALL_HOME = Strategy("all-home", lambda g: GameSide.HOME)
-ALL_FAVORITES = when("all-favorites", lambda g: g.line_close != 0, GameSide.FAVORITE)
-ALL_UNDERDOGS = when("all-underdogs", lambda g: g.line_close != 0, GameSide.UNDERDOG)
+def _on_spread(name: str, side: GameSide, accepts: Callable) -> Strategy:
+    return Strategy(name, lambda g: side if accepts(g.line_close) else None, (accepts, side))
+
+
+HOME_UNDERDOG = _on_spread("home-underdog", GameSide.HOME, lambda line: line < 0)
+HOME_FAVORITE = _on_spread("home-favorite", GameSide.HOME, lambda line: line > 0)
+ALL_HOME = _on_spread("all-home", GameSide.HOME, lambda line: np.ones(np.shape(line), dtype=bool))
+ALL_FAVORITES = _on_spread("all-favorites", GameSide.FAVORITE, lambda line: line != 0)
+ALL_UNDERDOGS = _on_spread("all-underdogs", GameSide.UNDERDOG, lambda line: line != 0)
 
 BUILTIN_STRATEGIES: dict[str, Strategy] = {
     s.name: s for s in (HOME_UNDERDOG, HOME_FAVORITE, ALL_HOME, ALL_FAVORITES, ALL_UNDERDOGS)
@@ -106,11 +120,14 @@ class StrategyLedger:
 def _summarize(bets: Sequence[Bet]) -> LedgerSummary:
     wins = sum(1 for b in bets if b.outcome is AtsOutcome.COVER)
     losses = sum(1 for b in bets if b.outcome is AtsOutcome.NO_COVER)
-    pushes = len(bets) - wins - losses
+    return _summary(wins, losses, len(bets) - wins - losses, [b.cashflow for b in bets])
+
+
+def _summary(wins: int, losses: int, pushes: int, cashflows: Sequence[float]) -> LedgerSummary:
     decided = wins + losses
     ratio = wins / decided if decided else 0.0
-    profit = sum(b.cashflow for b in bets)
-    return LedgerSummary(wins, losses, pushes, ratio, profit)
+    # summed bet by bet, in order, so profits match a running total to the bit
+    return LedgerSummary(wins, losses, pushes, ratio, sum(cashflows))
 
 
 def run_strategy(
@@ -129,26 +146,79 @@ def run_strategy(
         raise NonPositiveStakeError(f"stake and payout must be positive, got {stake}, {win_payout}")
     if line not in ("close", "open"):
         raise ValueError(f"line must be 'close' or 'open', got {line!r}")
-    bets: list[Bet] = []
-    for g in dataset:
-        game = replace(g, line_close=g.line_open) if line == "open" else g
-        side = strategy(game)
-        if side is None:
-            continue
-        outcome = ats_outcome(game, side)
-        if outcome is AtsOutcome.COVER:
-            cash = win_payout
-        elif outcome is AtsOutcome.NO_COVER:
-            cash = -stake
-        else:
-            cash = 0.0
-        bets.append(Bet(g, side, outcome, cash))
-    total = _summarize(bets)
-    seasons = sorted({b.game.season for b in bets})
-    per_season = {s: _summarize([b for b in bets if b.game.season == s]) for s in seasons}
-    return StrategyLedger(
-        tuple(bets), total.wins, total.losses, total.pushes, total.win_ratio, total.profit, per_season
-    )
+    if strategy.rule is None:
+        rows, sides = _select(dataset.games, strategy, line)
+    else:
+        accepts, side = strategy.rule
+        rows = np.flatnonzero(accepts(dataset.table.line2(line) * 0.5))
+        sides = [side] * len(rows)
+    return _settle(dataset, rows, sides, line, stake, win_payout)
+
+
+_FIELDS_BUT_CLOSE = attrgetter(*GAME_COLUMNS[:-1])  # line_close is the last field
+
+
+def _priced(game: GameRecord, line: str) -> GameRecord:
+    """The game as a strategy sees it: on the open line, line_close holds the opening spread."""
+    if line == "close":
+        return game
+    return _checked_record(*_FIELDS_BUT_CLOSE(game), game.line_open)
+
+
+def _select(games: Sequence[GameRecord], strategy: Strategy, line: str) -> tuple[np.ndarray, list]:
+    """Rows and sides a per-game selector bets: the one path for strategies without a rule."""
+    rows, sides = [], []
+    for i, game in enumerate(games):
+        side = strategy(_priced(game, line))
+        if side is not None:
+            rows.append(i)
+            sides.append(side)
+    return np.array(rows, dtype=np.int64), sides
+
+
+#: a bet's outcome, indexed by its ATS sign: 0 push, 1 cover, -1 no cover
+_OUTCOMES = (AtsOutcome.PUSH, AtsOutcome.COVER, AtsOutcome.NO_COVER)
+
+
+def _settle(
+    dataset: Dataset, rows: np.ndarray, sides: list, line: str, stake: float, win_payout: float
+) -> StrategyLedger:
+    """Settle a bet on ``sides[k]`` in game ``rows[k]``, all at once."""
+    result = _bet_signs(dataset, rows, sides, line)
+    signs = result.tolist()
+    cash = [(0.0, win_payout, -stake)[r] for r in signs]
+    games = map(dataset.games.__getitem__, rows)
+    bets = tuple(map(Bet, games, sides, map(_OUTCOMES.__getitem__, signs), cash))
+    wins, losses = signs.count(1), signs.count(-1)
+    total = _summary(wins, losses, len(signs) - wins - losses, cash)
+    # per season: one bincount of (season, result), and the cashflows in bet order
+    seasons, season = np.unique(dataset.table.season[rows], return_inverse=True)
+    season = season.reshape(-1)
+    counts = np.bincount(season * 3 + result + 1, minlength=3 * len(seasons)).reshape(-1, 3)
+    ordered = np.array(cash, dtype=object)[np.argsort(season, kind="stable")]
+    flows = np.split(ordered, np.cumsum(counts.sum(axis=1))[:-1])
+    per_season = {
+        s: _summary(won, lost, pushed, season_flows)
+        for s, (lost, pushed, won), season_flows in zip(seasons.tolist(), counts.tolist(), flows)
+    }
+    return StrategyLedger(bets, total.wins, total.losses, total.pushes, total.win_ratio, total.profit, per_season)
+
+
+def _bet_signs(dataset: Dataset, rows: np.ndarray, sides: list, line: str) -> np.ndarray:
+    """Each bet's ATS sign: +1 cover, 0 push, -1 no cover."""
+    table = dataset.table
+    line2 = table.line2(line)[rows]
+    # the sign that turns the home side's result into the bet side's; away,
+    # and any other side, mirrors the home side, as in ats_outcome
+    spread = np.sign(line2).astype(np.int8)
+    flip = np.full(len(rows), -1, dtype=np.int8)
+    for side, sign in ((GameSide.HOME, 1), (GameSide.FAVORITE, spread), (GameSide.UNDERDOG, -spread)):
+        np.copyto(flip, sign, where=np.fromiter((s is side for s in sides), dtype=bool, count=len(sides)))
+    unresolved = np.flatnonzero(flip == 0)  # a favorite or underdog bet on a pick-em
+    if unresolved.size:
+        k = int(unresolved[0])
+        ats_outcome(_priced(dataset.games[rows[k]], line), sides[k])  # raises UnresolvableSideError
+    return flip * np.sign(2 * table.margin[rows] - line2).astype(np.int8)
 
 
 def yearly_cover_series(dataset: Dataset, strategy: Strategy, line: str = "close") -> dict[int, float]:

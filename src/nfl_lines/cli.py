@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from . import __version__
 from .backtest import (
@@ -24,6 +27,7 @@ from .backtest import (
 from .dataset import Dataset, GameRecord, load_dataset
 from .metrics import (
     favorite_ats_summary,
+    favorite_signs,
     histogram,
     line_difference,
     line_movement,
@@ -231,12 +235,16 @@ def cmd_backtest(ds: Dataset, args: argparse.Namespace) -> int:
 
 
 def _mirror_check(ds: Dataset, args: argparse.Namespace) -> bool | None:
-    """Favorite wins must equal underdog losses on the same games, and vice versa."""
-    fav = run_strategy(ds, BUILTIN_STRATEGIES["all-favorites"], stake=args.stake, win_payout=args.payout, line=args.line)
-    dog = run_strategy(ds, BUILTIN_STRATEGIES["all-underdogs"], stake=args.stake, win_payout=args.payout, line=args.line)
-    if not fav.bets and not dog.bets:
+    """Favorite wins must equal underdog losses on the same games, and vice versa.
+
+    One settlement of the favorite's side gives both records: the underdog's
+    result in each game is the favorite's, mirrored.
+    """
+    favorite = favorite_signs(ds.table, args.line)
+    if not favorite.size:
         return None
-    return fav.wins == dog.losses and fav.losses == dog.wins and fav.pushes == dog.pushes
+    underdog = -favorite
+    return all(np.count_nonzero(favorite == s) == np.count_nonzero(underdog == -s) for s in (1, -1, 0))
 
 
 def cmd_movement(ds: Dataset, args: argparse.Namespace) -> int:
@@ -315,6 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as a diagnostic line, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse ``argv``, load and filter the data once, and run the command on it."""
     parser = build_parser()
@@ -332,9 +345,11 @@ def main(argv: list[str] | None = None) -> int:
                 "holding games.csv and divisions.csv)"
             )
         seasons = _parse_season_range(args.seasons) if args.seasons else None
-        ds = load_dataset(games, divisions)
-        ds = ds.filter(seasons=seasons, regular_season_only=not args.include_postseason)
-        return args.func(ds, args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            ds = load_dataset(games, divisions)
+            ds = ds.filter(seasons=seasons, regular_season_only=not args.include_postseason)
+            return args.func(ds, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

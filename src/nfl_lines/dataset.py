@@ -3,16 +3,34 @@
 Sign convention for spreads: home-positive. ``line_close > 0`` means the
 home team is favored by that many points; negative values favor the
 visitor; ``0`` is a pick-em with no favorite.
+
+Storage: a :class:`Dataset` holds its games once as numpy columns
+(``Dataset.table``, a :class:`GameTable`), which the metrics and
+backtests compute on, and once as :class:`GameRecord` rows
+(``Dataset.games``), the public row type, built once per game.
+
+Validation happens once per load: ``load_dataset`` runs every
+``GameRecord`` check, the duplicate check and the unknown-team check over
+whole columns (``Dataset`` runs the last two on records it is given).
+Only when a check fails are the rows walked through ``GameRecord`` in
+file order, so the error names the first bad row exactly as a row-by-row
+parse would. ``Dataset.filter`` is a mask and checks nothing again.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, field, fields
 from datetime import date as Date
 from enum import Enum
+from functools import cached_property
+from itertools import compress
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+
+import numpy as np
 
 GAME_COLUMNS = (
     "season",
@@ -35,6 +53,10 @@ REGULAR_SEASON_MAX_WEEK = 17
 
 #: Largest spread magnitude accepted, in points; NFL lines stay far below it.
 MAX_ABS_SPREAD = 60.0
+
+#: Largest week number or score accepted; keeps every column and its
+#: differences well inside int64.
+MAX_COUNT = 2**31 - 1
 
 
 class DatasetError(ValueError):
@@ -154,6 +176,11 @@ class GameRecord:
                 raise DatasetError(f"spread {line!r} is beyond the {MAX_ABS_SPREAD:g}-point cap")
             if not _is_half_point(line):
                 raise NonHalfPointSpreadError(line)
+        if max(self.week, self.home_score, self.away_score) > MAX_COUNT:
+            raise DatasetError(
+                f"week and scores must be at most {MAX_COUNT}, got week {self.week}, "
+                f"score {self.home_score}-{self.away_score}"
+            )
 
     @property
     def key(self) -> tuple[int, int, str, str]:
@@ -234,24 +261,88 @@ class DivisionMap:
                 yield conf, div, teams
 
 
+@dataclass(frozen=True, eq=False)
+class GameTable:
+    """Games as aligned numpy columns, one row per game, in dataset order.
+
+    ``home``/``away`` index into ``teams`` (sorted codes), ``day`` is the
+    date's ordinal, and ``open2``/``close2`` are the spreads in integer
+    half-points, so settlement is exact integer arithmetic.
+    """
+
+    season: np.ndarray
+    week: np.ndarray
+    day: np.ndarray
+    home: np.ndarray
+    away: np.ndarray
+    home_score: np.ndarray
+    away_score: np.ndarray
+    open2: np.ndarray
+    close2: np.ndarray
+    teams: tuple[str, ...]
+
+    @classmethod
+    def of(cls, season, week, dates, home, away, home_score, away_score, line_open, line_close) -> "GameTable":
+        """Columns from per-field value lists, in GameRecord field order."""
+        teams = tuple(sorted(set(home).union(away)))
+        index = {team: i for i, team in enumerate(teams)}.__getitem__
+
+        def ints(values) -> np.ndarray:
+            return np.array(values, dtype=np.int64)
+
+        def halves(line) -> np.ndarray:
+            return (2 * np.array(line, dtype=float)).astype(np.int64)
+
+        return cls(
+            ints(season), ints(week), ints([d.toordinal() for d in dates]),
+            ints(list(map(index, home))), ints(list(map(index, away))),
+            ints(home_score), ints(away_score), halves(line_open), halves(line_close), teams,
+        )
+
+    def __len__(self) -> int:
+        return len(self.season)
+
+    def take(self, rows: np.ndarray) -> "GameTable":
+        """The rows a boolean mask or an index array selects, in that order."""
+        return GameTable(*(getattr(self, f.name)[rows] for f in fields(self)[:-1]), self.teams)
+
+    def line2(self, line: str) -> np.ndarray:
+        """The "close" or "open" spread column, in half-points."""
+        return self.open2 if line == "open" else self.close2
+
+    @property
+    def margin(self) -> np.ndarray:
+        """Home score minus away score."""
+        return self.home_score - self.away_score
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Validated, ordered collection of games plus the division map."""
+    """Validated, ordered collection of games plus the division map.
+
+    ``games`` holds the records and ``table`` the same games as columns.
+    Built from records, keys and teams are checked here; ``load_dataset``
+    and ``filter`` hand over games that are already checked.
+    """
 
     games: tuple[GameRecord, ...]
     divisions: DivisionMap
     provenance: str = ""
+    table: GameTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "games", tuple(self.games))
-        seen: set[tuple] = set()
-        for g in self.games:
-            if g.key in seen:
-                raise DuplicateGameError(None, g.key)
-            seen.add(g.key)
-            for team in (g.home, g.away):
-                if team not in self.divisions:
-                    raise UnknownTeamError(team)
+        games = tuple(self.games)
+        columns = list(zip(*map(attrgetter(*GAME_COLUMNS), games))) or [()] * len(GAME_COLUMNS)
+        table = GameTable.of(*columns)
+        _check_keys_and_teams(games, table, self.divisions)
+        object.__setattr__(self, "games", games)
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _checked(cls, games: tuple, table: GameTable, divisions: DivisionMap, provenance: str) -> "Dataset":
+        dataset = object.__new__(cls)
+        dataset.__dict__.update(games=games, divisions=divisions, provenance=provenance, table=table)
+        return dataset
 
     def __len__(self) -> int:
         return len(self.games)
@@ -260,7 +351,19 @@ class Dataset:
         return iter(self.games)
 
     def seasons(self) -> tuple[int, ...]:
-        return tuple(sorted({g.season for g in self.games}))
+        return tuple(self._season_rows)
+
+    def season_rows(self, season: int) -> np.ndarray:
+        """Positions of the season's games in ``games``, in dataset order."""
+        return self._season_rows.get(season, np.zeros(0, dtype=np.int64))
+
+    @cached_property
+    def _season_rows(self) -> dict[int, np.ndarray]:
+        # one stable sort by season keeps each season's games in dataset order
+        order = np.argsort(self.table.season, kind="stable")
+        seasons, starts = np.unique(self.table.season[order], return_index=True)
+        ends = [*starts[1:].tolist(), len(order)]
+        return {s: order[a:b] for s, a, b in zip(seasons.tolist(), starts.tolist(), ends)}
 
     def filter(
         self,
@@ -273,16 +376,16 @@ class Dataset:
         Ranges are inclusive; a bare int means a single-value range. The
         division map and provenance carry over unchanged.
         """
-        season_rng = _as_range(seasons)
-        week_rng = _as_range(weeks)
-        kept = tuple(
-            g
-            for g in self.games
-            if (season_rng is None or season_rng[0] <= g.season <= season_rng[1])
-            and (week_rng is None or week_rng[0] <= g.week <= week_rng[1])
-            and (not regular_season_only or g.is_regular_season)
-        )
-        return Dataset(kept, self.divisions, self.provenance)
+        keep = np.ones(len(self.table), dtype=bool)
+        for column, rng in ((self.table.season, _as_range(seasons)), (self.table.week, _as_range(weeks))):
+            if rng is not None:
+                # range ends may be any int; seasons and weeks sit far inside +-2**62
+                lo, hi = (min(max(end, -(2**62)), 2**62) for end in rng)
+                keep &= (column >= lo) & (column <= hi)
+        if regular_season_only:
+            keep &= self.table.week <= REGULAR_SEASON_MAX_WEEK
+        games = tuple(compress(self.games, keep.tolist()))
+        return Dataset._checked(games, self.table.take(keep), self.divisions, self.provenance)
 
 
 def _as_range(value: int | tuple[int, int] | None) -> tuple[int, int] | None:
@@ -296,13 +399,48 @@ def _as_range(value: int | tuple[int, int] | None) -> tuple[int, int] | None:
     return (int(lo), int(hi))
 
 
-def _split_rows(csv_text: str) -> list[list[str]]:
-    # splitlines() handles LF and CRLF alike
-    reader = csv.reader(csv_text.splitlines())
+def _check_keys_and_teams(
+    games: Sequence[GameRecord], table: GameTable, divisions: DivisionMap, keys: bool = True
+) -> None:
+    """Raise for the first game that repeats a key (unless ``keys`` is false:
+    already checked) or has a team outside ``divisions``.
+
+    The columns tell whether any game does; only then are the records
+    walked, in order, for the error.
+    """
+    known = np.array([team in divisions for team in table.teams], dtype=bool)
+    if (not keys or _unique_keys(table)) and (known[table.home] & known[table.away]).all():
+        return
+    seen: set[tuple] = set()
+    for g in games:
+        if g.key in seen:
+            raise DuplicateGameError(None, g.key)
+        seen.add(g.key)
+        for team in (g.home, g.away):
+            if team not in divisions:
+                raise UnknownTeamError(team)
+
+
+def _read_csv(csv_text: str) -> tuple[list[int], list[list[str]]]:
+    """CSV records and the 1-based physical line each starts on.
+
+    Only CR and LF end a line: a form feed or U+2028 stays inside its
+    field, and a quoted field may span lines.
+    """
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
+    lines, rows, line = [], [], 1
     try:
-        return list(reader)
+        for row in reader:
+            lines.append(line)
+            rows.append(row)
+            line = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise MalformedRowError(reader.line_num, str(exc)) from None
+        raise MalformedRowError(line, str(exc)) from None
+    return lines, rows
+
+
+def _is_blank(row: Sequence[str]) -> bool:
+    return not "".join(row).strip()
 
 
 def _header_index(header: Sequence[str], required: Sequence[str]) -> dict[str, int]:
@@ -316,59 +454,128 @@ def _header_index(header: Sequence[str], required: Sequence[str]) -> dict[str, i
     return {c: cleaned.index(c) for c in required}
 
 
+#: Each games column and how it is read, in GameRecord field order.
+_FIELDS = tuple(zip(GAME_COLUMNS, (int, int, Date.fromisoformat, str, str, int, int, float, float)))
+
+
 def parse_games(csv_text: str) -> list[GameRecord]:
     """Parse the games CSV into validated records, preserving row order.
 
-    Row numbers in errors are 1-based physical rows (header is row 1).
+    Row numbers in errors are the 1-based physical lines rows start on
+    (the header is line 1).
     """
-    rows = _split_rows(csv_text)
+    return list(_parse_games(csv_text)[1])
+
+
+def _parse_games(csv_text: str) -> tuple[GameTable, tuple[GameRecord, ...]]:
+    rows = _read_csv(csv_text)[1]
     if not rows:
         raise MissingColumnError(list(GAME_COLUMNS), [])
     idx = _header_index(rows[0], GAME_COLUMNS)
-    records: list[GameRecord] = []
+    body = [row for row in rows[1:] if not _is_blank(row)]
+    valid = all(len(row) == len(GAME_COLUMNS) for row in body)
+    if valid:
+        # read and check whole columns, dropping each column's text once it is read
+        cells = list(zip(*body)) or [()] * len(GAME_COLUMNS)
+        del rows, body
+        try:
+            columns = []
+            for name, convert in _FIELDS:
+                columns.append(list(map(convert, map(str.strip, cells[idx[name]]))))
+                cells[idx[name]] = ()
+            with np.errstate(over="ignore", invalid="ignore"):  # a bad spread casts to junk, and fails its check
+                table = GameTable.of(*columns)
+            valid = _valid(table, columns[-2:])
+        except (ValueError, TypeError, OverflowError):
+            valid = False
+    if not valid:
+        _raise_first_error(csv_text)
+    return table, tuple(map(_checked_record, *columns))
+
+
+def _checked_record(season, week, date, home, away, home_score, away_score, line_open, line_close) -> GameRecord:
+    """A GameRecord over values that already passed its checks, which do not run again."""
+    record = object.__new__(GameRecord)
+    put = object.__setattr__  # as the frozen dataclass's own __init__ sets fields
+    put(record, "season", season)
+    put(record, "week", week)
+    put(record, "date", date)
+    put(record, "home", home)
+    put(record, "away", away)
+    put(record, "home_score", home_score)
+    put(record, "away_score", away_score)
+    put(record, "line_open", line_open)
+    put(record, "line_close", line_close)
+    return record
+
+
+def _valid(table: GameTable, spreads: list[list[float]]) -> bool:
+    """Whether every game passes GameRecord's checks and no key repeats.
+
+    ``GameRecord.__post_init__`` as array operations; ``spreads`` are the
+    opening and closing lines as read.
+    """
+    named = np.array([team != "" for team in table.teams], dtype=bool)
+    # ordinal 719163 is 1970-01-01, day 0 of datetime64
+    years = (table.day - 719163).astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64) + 1970
+    ok = (
+        named[table.home]
+        & named[table.away]
+        & (table.home != table.away)
+        & (table.season >= 0)
+        & (table.week >= 1)
+        & (years - table.season >= 0)
+        & (years - table.season <= 1)
+        & (table.home_score >= 0)
+        & (table.away_score >= 0)
+        & (np.maximum(table.week, np.maximum(table.home_score, table.away_score)) <= MAX_COUNT)
+    )
+    for line in map(np.array, spreads):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok &= (np.abs(line) <= MAX_ABS_SPREAD) & (np.floor(2 * line) == 2 * line)
+    return bool(ok.all()) and _unique_keys(table)
+
+
+def _unique_keys(table: GameTable) -> bool:
+    keys = (table.away, table.home, table.week, table.season)
+    order = np.lexsort(keys)  # by season, week, home, away: equal keys end up adjacent
+    repeats = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for key in keys:
+        repeats &= key[order][1:] == key[order][:-1]
+    return not repeats.any()
+
+
+def _raise_first_error(csv_text: str) -> NoReturn:
+    """Parse row by row through GameRecord, and raise the first bad row's error."""
+    lines, rows = _read_csv(csv_text)
+    idx = _header_index(rows[0], GAME_COLUMNS)
     seen: set[tuple] = set()
-    for rownum, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue  # blank line
+    for line, row in zip(lines[1:], rows[1:]):
+        if _is_blank(row):
+            continue
         if len(row) != len(GAME_COLUMNS):
-            raise MalformedRowError(rownum, f"expected {len(GAME_COLUMNS)} fields, got {len(row)}")
-        get = lambda col: row[idx[col]].strip()
+            raise MalformedRowError(line, f"expected {len(GAME_COLUMNS)} fields, got {len(row)}")
         try:
-            season = int(get("season"))
-            week = int(get("week"))
-            date = Date.fromisoformat(get("date"))
-            home = get("home")
-            away = get("away")
-            home_score = int(get("home_score"))
-            away_score = int(get("away_score"))
-            line_open = float(get("line_open"))
-            line_close = float(get("line_close"))
-        except (ValueError, TypeError) as exc:
-            raise MalformedRowError(rownum, str(exc)) from None
-        try:
-            record = GameRecord(
-                season, week, date, home, away, home_score, away_score, line_open, line_close
-            )
+            record = GameRecord(*(convert(row[idx[name]].strip()) for name, convert in _FIELDS))
         except NonHalfPointSpreadError as exc:
-            raise NonHalfPointSpreadError(exc.value, row=rownum) from None
-        except DatasetError as exc:
-            raise MalformedRowError(rownum, str(exc)) from None
+            raise NonHalfPointSpreadError(exc.value, row=line) from None
+        except (ValueError, TypeError) as exc:  # a conversion, or a GameRecord check
+            raise MalformedRowError(line, str(exc)) from None
         if record.key in seen:
-            raise DuplicateGameError(rownum, record.key)
+            raise DuplicateGameError(line, record.key)
         seen.add(record.key)
-        records.append(record)
-    return records
+    raise AssertionError("the column checks rejected games that GameRecord accepts")
 
 
 def parse_divisions(csv_text: str) -> DivisionMap:
     """Parse the divisions CSV (columns team,conference,division; 32 rows)."""
-    rows = _split_rows(csv_text)
+    lines, rows = _read_csv(csv_text)
     if not rows:
         raise MissingColumnError(list(DIVISION_COLUMNS), [])
     idx = _header_index(rows[0], DIVISION_COLUMNS)
     entries: dict[str, tuple[str, str]] = {}
-    for rownum, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
+    for rownum, row in zip(lines[1:], rows[1:]):
+        if _is_blank(row):
             continue
         if len(row) != len(DIVISION_COLUMNS):
             raise MalformedRowError(rownum, f"expected {len(DIVISION_COLUMNS)} fields, got {len(row)}")
@@ -414,16 +621,21 @@ def games_to_csv(games: Iterable[GameRecord]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def load_games(path: str | Path) -> list[GameRecord]:
-    return parse_games(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_games(_read_text(path))
 
 
 def load_divisions(path: str | Path) -> DivisionMap:
-    return parse_divisions(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_divisions(_read_text(path))
 
 
 def load_dataset(games_path: str | Path, divisions_path: str | Path) -> Dataset:
     """Load and cross-validate a games file against a division map."""
-    games = load_games(games_path)
+    table, games = _parse_games(_read_text(games_path))
     divisions = load_divisions(divisions_path)
-    return Dataset(tuple(games), divisions, provenance=str(games_path))
+    _check_keys_and_teams(games, table, divisions, keys=False)  # parsing checked the keys
+    return Dataset._checked(games, table, divisions, str(games_path))

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .dataset import Dataset, GameRecord, GameSide, favorite_of
+import numpy as np
+
+from .dataset import Dataset, GameRecord, GameSide, GameTable
 
 #: Default bin widths: half-point market granularity for spreads, whole
 #: points for line-difference values.
@@ -102,30 +104,41 @@ def favorite_ats_summary(dataset: Dataset) -> FavoriteAtsSummary:
     sum to the dataset size. A straight-up tie counts with the losses
     (the favorite failed to win).
     """
-    covers = wins_no_cover = losses = pushes = 0
-    for g in dataset:
-        fav = favorite_of(g)
-        if fav is None:
-            continue
-        ld = line_difference(g)
-        if ld > 0:
-            covers += 1
-        elif ld == 0:
-            pushes += 1
-        elif _favorite_won(g, fav.favorite):
-            wins_no_cover += 1
-        else:
-            losses += 1
-    return FavoriteAtsSummary(covers, wins_no_cover, losses, pushes)
+    table = dataset.table
+    favored = table.close2 != 0
+    ld = favorite_signs(table, "close")
+    won = np.sign(table.close2[favored]) * table.margin[favored] > 0
+    covers = _count(ld > 0)
+    pushes = _count(ld == 0)
+    wins_no_cover = _count((ld < 0) & won)
+    return FavoriteAtsSummary(covers, wins_no_cover, len(ld) - covers - pushes - wins_no_cover, pushes)
 
 
-def _favorite_won(game: GameRecord, favorite: str) -> bool:
-    margin = game.home_margin if favorite == game.home else -game.home_margin
-    return margin > 0
+def ats_signs(table: GameTable, line: str = "close") -> np.ndarray:
+    """Home-side settlement of every game against the chosen spread.
+
+    +1 where the home side covers, 0 on a push, -1 where it does not: the
+    array form of ``ats_outcome(game, GameSide.HOME)``.
+    """
+    return np.sign(2 * table.margin - table.line2(line))
+
+
+def favorite_signs(table: GameTable, line: str = "close") -> np.ndarray:
+    """The favorite's settlement in each non-pick-em game, in game order.
+
+    +1 cover, 0 push, -1 no cover against the chosen spread: the array
+    form of ``ats_outcome(game, GameSide.FAVORITE)``.
+    """
+    line2 = table.line2(line)
+    return (np.sign(line2) * ats_signs(table, line))[line2 != 0]
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
 
 
 def pick_em_count(dataset: Dataset) -> int:
-    return sum(1 for g in dataset if g.line_close == 0)
+    return _count(dataset.table.close2 == 0)
 
 
 @dataclass(frozen=True)
@@ -177,35 +190,24 @@ def home_record_table(dataset: Dataset) -> HomeRecordTable:
     """Home-side ATS wins/losses per season, split favorite/underdog/pick-em.
 
     Pushes are excluded from every cell; the pick-em column is the home
-    team's straight-up record (ATS at spread 0 is the same thing).
+    team's straight-up record (ATS at spread 0 is the same thing). A season
+    with pushes only has no row.
     """
-    acc: dict[int, dict[str, RecordCell]] = defaultdict(
-        lambda: {"favorites": RecordCell(), "underdogs": RecordCell(), "pick_ems": RecordCell()}
-    )
-    for g in dataset:
-        if g.line_close > 0:
-            col = "favorites"
-        elif g.line_close < 0:
-            col = "underdogs"
-        else:
-            col = "pick_ems"
-        outcome = ats_outcome(g, GameSide.HOME)
-        if outcome is AtsOutcome.PUSH:
-            continue
-        won = outcome is AtsOutcome.COVER
-        cell = acc[g.season][col]
-        acc[g.season][col] = cell + RecordCell(int(won), int(not won))
+    table = dataset.table
+    result = ats_signs(table, "close")
+    decided = result != 0
+    # column 0 favorites, 1 underdogs, 2 pick-ems; outcome 0 win, 1 loss
+    column = np.select([table.close2 > 0, table.close2 < 0], [0, 1], 2)[decided]
+    seasons, season = np.unique(table.season[decided], return_inverse=True)
+    cell = (season.reshape(-1) * 3 + column) * 2 + (result[decided] < 0)
+    counts = np.bincount(cell, minlength=6 * len(seasons)).reshape(-1, 3, 2)
 
-    def make_row(cells: dict[str, RecordCell]) -> HomeRecordRow:
-        all_home = cells["favorites"] + cells["underdogs"] + cells["pick_ems"]
-        return HomeRecordRow(cells["favorites"], cells["underdogs"], cells["pick_ems"], all_home)
+    def make_row(cells: np.ndarray) -> HomeRecordRow:
+        favorites, underdogs, pick_ems = (RecordCell(wins, losses) for wins, losses in cells.tolist())
+        return HomeRecordRow(favorites, underdogs, pick_ems, favorites + underdogs + pick_ems)
 
-    by_season = {season: make_row(acc[season]) for season in sorted(acc)}
-    total_cells = {
-        col: sum((acc[s][col] for s in acc), RecordCell())
-        for col in ("favorites", "underdogs", "pick_ems")
-    }
-    return HomeRecordTable(by_season, make_row(total_cells))
+    by_season = {season: make_row(cells) for season, cells in zip(seasons.tolist(), counts)}
+    return HomeRecordTable(by_season, make_row(counts.sum(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -267,13 +269,12 @@ def movement_fraction_by_week(dataset: Dataset, threshold: float) -> WeeklyMovem
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    moved: dict[int, int] = defaultdict(int)
-    totals: dict[int, int] = defaultdict(int)
-    for g in dataset:
-        totals[g.week] += 1
-        if movement_magnitude(g) >= threshold:
-            moved[g.week] += 1
-    by_week = {w: moved[w] / totals[w] for w in sorted(totals)}
+    table = dataset.table
+    weeks, week = np.unique(table.week, return_inverse=True)
+    week = week.reshape(-1)
+    totals = np.bincount(week, minlength=len(weeks)).tolist()
+    moved = np.bincount(week[_movement(table) >= threshold], minlength=len(weeks)).tolist()
+    by_week = {w: m / n for w, m, n in zip(weeks.tolist(), moved, totals)}
     fractions = list(by_week.values())
     mean = sum(fractions) / len(fractions) if fractions else 0.0
     if len(fractions) >= 2:
@@ -281,8 +282,8 @@ def movement_fraction_by_week(dataset: Dataset, threshold: float) -> WeeklyMovem
         std = math.sqrt(var)
     else:
         std = 0.0
-    n_games = sum(totals.values())
-    overall = sum(moved.values()) / n_games if n_games else 0.0
+    n_games = sum(totals)
+    overall = sum(moved) / n_games if n_games else 0.0
     return WeeklyMovement(threshold, by_week, mean, std, overall)
 
 
@@ -293,9 +294,14 @@ def movement_cumulative_counts(
 
     Defaults to the half-point grid from 0 up to the largest move seen.
     """
-    magnitudes = [movement_magnitude(g) for g in dataset]
+    magnitudes = _movement(dataset.table)
     if thresholds is None:
-        top = max(magnitudes, default=0.0)
+        top = float(magnitudes.max()) if magnitudes.size else 0.0
         steps = int(math.ceil(top / 0.5)) + 1
         thresholds = [0.5 * k for k in range(steps)]
-    return {t: sum(1 for m in magnitudes if m <= t) for t in thresholds}
+    return {t: _count(magnitudes <= t) for t in thresholds}
+
+
+def _movement(table: GameTable) -> np.ndarray:
+    """``movement_magnitude`` of every game, in points (exact: half-points halved)."""
+    return np.abs(table.close2 - table.open2) * 0.5

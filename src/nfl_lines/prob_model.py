@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, favorite_of
+from .dataset import Dataset
 from .stats import std_normal_cdf
 
 #: Fitted standard deviation of the line-difference distribution over the
@@ -70,17 +70,14 @@ def empirical_win_rate(dataset: Dataset, spread: float, tolerance: float = 0.0) 
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    wins = ties = n = 0
-    for g in dataset:
-        fav = favorite_of(g)
-        if fav is None or abs(fav.spread - spread) > tolerance:
-            continue
-        n += 1
-        margin = g.home_margin if fav.favorite == g.home else -g.home_margin
-        if margin > 0:
-            wins += 1
-        elif margin == 0:
-            ties += 1
+    table = dataset.table
+    side = np.sign(table.close2)  # +1 home favorite, -1 away favorite, 0 pick-em
+    # "not beyond", so that a nan spread or tolerance keeps the game, as a scalar test would
+    near = (side != 0) & ~(np.abs(np.abs(table.close2) * 0.5 - spread) > tolerance)
+    margin = (side * table.margin)[near]
+    wins = int(np.count_nonzero(margin > 0))
+    ties = int(np.count_nonzero(margin == 0))
+    n = len(margin)
     if n == 0:
         raise NoGamesAtSpreadError(f"no games with spread within {tolerance} of {spread}")
     return EmpiricalWinRate((wins + 0.5 * ties) / n, n, ties)

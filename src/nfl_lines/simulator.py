@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, DivisionMap, GameRecord, UnknownTeamError
+from .dataset import REGULAR_SEASON_MAX_WEEK, Dataset, DivisionMap, GameRecord, UnknownTeamError
 from .prob_model import WinModel, win_probability
 
 GAMES_PER_TEAM = 16
@@ -70,13 +70,15 @@ def build_schedule(dataset: Dataset, season: int, model: WinModel) -> SeasonSche
     home frame (a pick-em gives 0.5). Teams with a game count other than
     16 trigger an IncompleteScheduleWarning, not a failure.
     """
-    season_ds = dataset.filter(seasons=season, regular_season_only=True)
-    if len(season_ds) == 0:
+    rows = dataset.season_rows(season)
+    rows = rows[dataset.table.week[rows] <= REGULAR_SEASON_MAX_WEEK]
+    if len(rows) == 0:
         raise MissingSeasonError(season)
+    games = tuple(dataset.games[i] for i in rows.tolist())
     entries = []
     wins: dict[str, float] = defaultdict(float)
     counts: dict[str, int] = defaultdict(int)
-    for i, g in enumerate(season_ds):
+    for i, g in enumerate(games):
         entries.append(ScheduleEntry(i, g.home, g.away, win_probability(model, g.line_close)))
         counts[g.home] += 1
         counts[g.away] += 1
@@ -89,7 +91,7 @@ def build_schedule(dataset: Dataset, season: int, model: WinModel) -> SeasonSche
             stacklevel=2,
         )
     actual = {t: wins.get(t, 0.0) for t in sorted(counts)}
-    return SeasonSchedule(season, tuple(entries), actual, tuple(season_ds.games))
+    return SeasonSchedule(season, tuple(entries), actual, games)
 
 
 def _credit_result(tally: dict[str, float], g: GameRecord) -> None:

@@ -250,3 +250,20 @@ def test_python_m_cli_version():
     proc = _python("-m", "nfl_lines.cli", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"nfl-lines {__version__}"
+
+
+def test_short_season_warning_is_a_diagnostic(tmp_path, capsys):
+    # two weeks of 2002: every team has a 2-game schedule
+    lines = FIXTURE_GAMES.read_text().splitlines()
+    short = [lines[0]] + [row for row in lines[1:] if row.startswith(("2002,1,", "2002,2,"))]
+    games = tmp_path / "games.csv"
+    games.write_text("\n".join(short) + "\n")
+    data = ["--games", str(games), "--divisions", str(DIVISIONS)]
+    code, out, err = run(capsys, "simulate", *data, "--season", "2002", "--replications", "20")
+    assert code == 0
+    assert out.startswith("team,conference,division,")
+    diagnostics = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert diagnostics == [diagnostics[0]]
+    assert diagnostics[0].startswith("warning: season 2002: teams with a schedule other than 16 games: [")
+    assert "IncompleteScheduleWarning" not in err
+    assert ".py:" not in err

@@ -277,3 +277,25 @@ def test_filter_composes_as_intersection(fixture_dataset, seasons, weeks):
     once = fixture_dataset.filter(seasons=seasons, weeks=weeks)
     twice = fixture_dataset.filter(seasons=seasons).filter(weeks=weeks)
     assert once.games == twice.games
+
+
+def test_form_feed_in_team_field_names_the_value(tmp_path):
+    # only CR and LF end a CSV line, so the form feed stays inside the team code
+    text = HEADER + "\n2007,1,2007-09-09,N\x0cE,NYJ,14,38,-6,-7\n"
+    (game,) = parse_games(text)
+    assert game.home == "N\x0cE"
+    games = tmp_path / "games.csv"
+    games.write_text(text, encoding="utf-8")
+    with pytest.raises(UnknownTeamError) as err:
+        load_dataset(games, DIVISIONS)
+    assert err.value.team == "N\x0cE"
+    assert repr("N\x0cE") in str(err.value)
+
+
+def test_row_number_is_the_physical_line_after_a_multiline_field():
+    # the quoted home field spans lines 2-3, so the bad week sits on line 4
+    text = HEADER + '\n2007,1,2007-09-09,"NYJ\nX",NE,14,38,-6,-7\n2007,two,2007-09-16,NE,SD,24,14,3,3\n'
+    with pytest.raises(MalformedRowError) as err:
+        parse_games(text)
+    assert err.value.row == 4
+    assert str(err.value).startswith("row 4: ")
