@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import GAME_COLUMNS, Dataset, GameRecord, GameSide, _checked_record
 from .metrics import AtsOutcome, ats_outcome
+from .stats import check_positive
 
 DEFAULT_STAKE = 110.0
 DEFAULT_WIN_PAYOUT = 100.0
@@ -72,8 +73,7 @@ def break_even_ratio(win_payout: float, stake: float) -> float:
     Solves win_payout * WR = stake * (1 - WR); at the customary 110/100
     pricing this is 110/210 = 52.38%.
     """
-    if win_payout <= 0 or stake <= 0:
-        raise NonPositiveStakeError(f"stake and payout must be positive, got {stake}, {win_payout}")
+    check_positive("stake and payout", stake, win_payout, error=NonPositiveStakeError)
     return stake / (stake + win_payout)
 
 
@@ -142,8 +142,7 @@ def run_strategy(
     ``line`` chooses which spread both selection and settlement use:
     "close" (default) or "open".
     """
-    if stake <= 0 or win_payout <= 0:
-        raise NonPositiveStakeError(f"stake and payout must be positive, got {stake}, {win_payout}")
+    check_positive("stake and payout", stake, win_payout, error=NonPositiveStakeError)
     if line not in ("close", "open"):
         raise ValueError(f"line must be 'close' or 'open', got {line!r}")
     if strategy.rule is None:

@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import warnings
-from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -95,14 +94,10 @@ def _emit(data: str, args: argparse.Namespace, default_name: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _games_per_season(ds: Dataset) -> list[tuple[int, int]]:
-    return sorted(Counter(g.season for g in ds).items())
-
-
 def cmd_ingest_check(ds: Dataset, args: argparse.Namespace) -> int:
     lines = [f"games: {len(ds)}", f"teams: {len(ds.divisions.teams)}", "divisions: 8x4 ok"]
-    for season, count in _games_per_season(ds):
-        lines.append(f"  season {season}: {count} games")
+    for season in ds.seasons():
+        lines.append(f"  season {season}: {len(ds.season_rows(season))} games")
     _emit("\n".join(lines) + "\n", args, "ingest_check.txt")
     return 0
 
@@ -110,8 +105,8 @@ def cmd_ingest_check(ds: Dataset, args: argparse.Namespace) -> int:
 def cmd_summary(ds: Dataset, args: argparse.Namespace) -> int:
     ref = REFERENCE_2002_2011
     lines = [f"games: {len(ds)} (reference 2002-2011: {ref['games']})"]
-    for season, count in _games_per_season(ds):
-        lines.append(f"  season {season}: {count}")
+    for season in ds.seasons():
+        lines.append(f"  season {season}: {len(ds.season_rows(season))}")
     if len(ds):
         su_home = sum(1 for g in ds if g.home_margin > 0)
         su_decided = sum(1 for g in ds if g.home_margin != 0)

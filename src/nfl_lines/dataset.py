@@ -9,16 +9,17 @@ Storage: a :class:`Dataset` holds its games once as numpy columns
 backtests compute on, and once as :class:`GameRecord` rows
 (``Dataset.games``), the public row type, built once per game.
 
-Validation happens once per load: ``load_dataset`` runs every
-``GameRecord`` check, the duplicate check and the unknown-team check over
-whole columns (``Dataset`` runs the last two on records it is given).
-Only when a check fails are the rows walked through ``GameRecord`` in
-file order, so the error names the first bad row exactly as a row-by-row
-parse would. ``Dataset.filter`` is a mask and checks nothing again.
+Validation: each rule a single game must pass is defined once, in
+``_RULES``. ``GameRecord`` raises the first rule a record fails, and
+``parse_games`` runs the same tests over whole columns; one column search
+finds repeated keys and teams outside the division map. Only when a check
+fails is the text re-read row by row through ``GameRecord``, so the error
+names the first bad row as a row-by-row parse would. ``filter`` is a mask.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass, field, fields
@@ -28,6 +29,7 @@ from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -135,8 +137,36 @@ class GameSide(Enum):
     UNDERDOG = "underdog"
 
 
-def _is_half_point(value: float) -> bool:
-    return float(2 * value).is_integer()
+def _spread_rules(name: str) -> tuple:
+    """The cap rule, then the half-point rule, for one spread field."""
+    line = attrgetter(name)
+    return (
+        (lambda g: (-MAX_ABS_SPREAD <= line(g)) & (line(g) <= MAX_ABS_SPREAD),  # false for nan
+         lambda g: DatasetError(f"spread {line(g)!r} is beyond the {MAX_ABS_SPREAD:g}-point cap")),
+        (lambda g: 2 * line(g) % 1 == 0, lambda g: NonHalfPointSpreadError(line(g))),
+    )
+
+
+#: Every rule a game must pass, as (test, error), in the order failures are
+#: reported. A test uses only elementwise operators, so it takes one
+#: GameRecord or whole columns under the same names (see ``_columns``),
+#: and it may assume the game passed every test above it. ``error`` words
+#: the failure of one GameRecord.
+_RULES = (
+    (lambda g: (g.home != "") & (g.away != ""), lambda g: DatasetError("team codes must be non-empty")),
+    (lambda g: g.home != g.away, lambda g: DatasetError(f"home and away are both {g.home!r}")),
+    (lambda g: g.season >= 0, lambda g: DatasetError(f"season must be non-negative, got {g.season}")),
+    (lambda g: g.week >= 1, lambda g: DatasetError(f"week must be at least 1, got {g.week}")),
+    (lambda g: (g.season <= g.date.year) & (g.date.year <= g.season + 1),
+     lambda g: DatasetError(f"date {g.date.isoformat()} is outside season {g.season}")),
+    (lambda g: (g.home_score >= 0) & (g.away_score >= 0),
+     lambda g: DatasetError(f"scores must be non-negative, got {g.home_score}-{g.away_score}")),
+    *_spread_rules("line_open"),
+    *_spread_rules("line_close"),
+    (lambda g: (g.week <= MAX_COUNT) & (g.home_score <= MAX_COUNT) & (g.away_score <= MAX_COUNT),
+     lambda g: DatasetError(f"week and scores must be at most {MAX_COUNT}, got week {g.week}, "
+                            f"score {g.home_score}-{g.away_score}")),
+)
 
 
 @dataclass(frozen=True)
@@ -159,28 +189,9 @@ class GameRecord:
     line_close: float
 
     def __post_init__(self):
-        if not self.home or not self.away:
-            raise DatasetError("team codes must be non-empty")
-        if self.home == self.away:
-            raise DatasetError(f"home and away are both {self.home!r}")
-        if self.season < 0:
-            raise DatasetError(f"season must be non-negative, got {self.season}")
-        if self.week < 1:
-            raise DatasetError(f"week must be at least 1, got {self.week}")
-        if not 0 <= self.date.year - self.season <= 1:
-            raise DatasetError(f"date {self.date.isoformat()} is outside season {self.season}")
-        if self.home_score < 0 or self.away_score < 0:
-            raise DatasetError(f"scores must be non-negative, got {self.home_score}-{self.away_score}")
-        for line in (self.line_open, self.line_close):
-            if not -MAX_ABS_SPREAD <= line <= MAX_ABS_SPREAD:  # also rejects nan
-                raise DatasetError(f"spread {line!r} is beyond the {MAX_ABS_SPREAD:g}-point cap")
-            if not _is_half_point(line):
-                raise NonHalfPointSpreadError(line)
-        if max(self.week, self.home_score, self.away_score) > MAX_COUNT:
-            raise DatasetError(
-                f"week and scores must be at most {MAX_COUNT}, got week {self.week}, "
-                f"score {self.home_score}-{self.away_score}"
-            )
+        for test, error in _RULES:
+            if not test(self):
+                raise error(self)
 
     @property
     def key(self) -> tuple[int, int, str, str]:
@@ -261,6 +272,10 @@ class DivisionMap:
                 yield conf, div, teams
 
 
+def _ints(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class GameTable:
     """Games as aligned numpy columns, one row per game, in dataset order.
@@ -282,22 +297,21 @@ class GameTable:
     teams: tuple[str, ...]
 
     @classmethod
-    def of(cls, season, week, dates, home, away, home_score, away_score, line_open, line_close) -> "GameTable":
-        """Columns from per-field value lists, in GameRecord field order."""
-        teams = tuple(sorted(set(home).union(away)))
+    def of(cls, games: SimpleNamespace) -> "GameTable":
+        """The table of games that pass every rule, from their ``_columns``."""
+        teams = tuple(sorted(set(games.home).union(games.away)))
         index = {team: i for i, team in enumerate(teams)}.__getitem__
-
-        def ints(values) -> np.ndarray:
-            return np.array(values, dtype=np.int64)
-
-        def halves(line) -> np.ndarray:
-            return (2 * np.array(line, dtype=float)).astype(np.int64)
-
         return cls(
-            ints(season), ints(week), ints([d.toordinal() for d in dates]),
-            ints(list(map(index, home))), ints(list(map(index, away))),
-            ints(home_score), ints(away_score), halves(line_open), halves(line_close), teams,
+            games.season, games.week, games.date.day,
+            _ints(list(map(index, games.home))), _ints(list(map(index, games.away))),
+            games.home_score, games.away_score,
+            (2 * games.line_open).astype(np.int64), (2 * games.line_close).astype(np.int64), teams,
         )
+
+    @classmethod
+    def of_records(cls, games: Sequence[GameRecord]) -> "GameTable":
+        """The table of GameRecords."""
+        return cls.of(_columns(*(list(zip(*map(attrgetter(*GAME_COLUMNS), games))) or [()] * len(GAME_COLUMNS))))
 
     def __len__(self) -> int:
         return len(self.season)
@@ -332,8 +346,7 @@ class Dataset:
 
     def __post_init__(self):
         games = tuple(self.games)
-        columns = list(zip(*map(attrgetter(*GAME_COLUMNS), games))) or [()] * len(GAME_COLUMNS)
-        table = GameTable.of(*columns)
+        table = GameTable.of_records(games)
         _check_keys_and_teams(games, table, self.divisions)
         object.__setattr__(self, "games", games)
         object.__setattr__(self, "table", table)
@@ -400,25 +413,26 @@ def _as_range(value: int | tuple[int, int] | None) -> tuple[int, int] | None:
 
 
 def _check_keys_and_teams(
-    games: Sequence[GameRecord], table: GameTable, divisions: DivisionMap, keys: bool = True
+    games: Sequence[GameRecord], table: GameTable, divisions: DivisionMap | None = None, rows: Sequence[int] = ()
 ) -> None:
-    """Raise for the first game that repeats a key (unless ``keys`` is false:
-    already checked) or has a team outside ``divisions``.
+    """Raise for the first game, in dataset order, that repeats an earlier
+    game's key or has a team outside ``divisions`` (when given).
 
-    The columns tell whether any game does; only then are the records
-    walked, in order, for the error.
+    A repeated key is reported before a team, and the home team before the
+    away team. ``table`` holds ``games`` as columns; ``rows``, when given,
+    holds the row number each game is reported with.
     """
-    known = np.array([team in divisions for team in table.teams], dtype=bool)
-    if (not keys or _unique_keys(table)) and (known[table.home] & known[table.away]).all():
-        return
-    seen: set[tuple] = set()
-    for g in games:
-        if g.key in seen:
-            raise DuplicateGameError(None, g.key)
-        seen.add(g.key)
-        for team in (g.home, g.away):
-            if team not in divisions:
-                raise UnknownTeamError(team)
+    keys = (table.away, table.home, table.week, table.season)
+    order = np.lexsort(keys)  # a stable sort: of equal keys, the earliest game comes first
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:][np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in keys])]] = True
+    known = np.array([divisions is None or team in divisions for team in table.teams], dtype=bool)
+    bad = np.flatnonzero(repeated | ~known[table.home] | ~known[table.away])
+    if bad.size:
+        i = int(bad[0])
+        if repeated[i]:
+            raise DuplicateGameError(rows[i] if rows else None, games[i].key)
+        raise UnknownTeamError(games[i].home if games[i].home not in divisions else games[i].away)
 
 
 def _read_csv(csv_text: str) -> tuple[list[int], list[list[str]]]:
@@ -468,14 +482,14 @@ def parse_games(csv_text: str) -> list[GameRecord]:
 
 
 def _parse_games(csv_text: str) -> tuple[GameTable, tuple[GameRecord, ...]]:
-    rows = _read_csv(csv_text)[1]
-    if not rows:
-        raise MissingColumnError(list(GAME_COLUMNS), [])
-    idx = _header_index(rows[0], GAME_COLUMNS)
+    try:
+        rows = list(csv.reader(io.StringIO(csv_text, newline="")))
+    except csv.Error:  # e.g. a field over csv.field_size_limit(): the error path names its line
+        rows = []
     body = [row for row in rows[1:] if not _is_blank(row)]
-    valid = all(len(row) == len(GAME_COLUMNS) for row in body)
-    if valid:
-        # read and check whole columns, dropping each column's text once it is read
+    if rows and all(len(row) == len(GAME_COLUMNS) for row in body):
+        idx = _header_index(rows[0], GAME_COLUMNS)
+        # read whole columns, dropping each column's text once it is read
         cells = list(zip(*body)) or [()] * len(GAME_COLUMNS)
         del rows, body
         try:
@@ -483,14 +497,31 @@ def _parse_games(csv_text: str) -> tuple[GameTable, tuple[GameRecord, ...]]:
             for name, convert in _FIELDS:
                 columns.append(list(map(convert, map(str.strip, cells[idx[name]]))))
                 cells[idx[name]] = ()
-            with np.errstate(over="ignore", invalid="ignore"):  # a bad spread casts to junk, and fails its check
-                table = GameTable.of(*columns)
-            valid = _valid(table, columns[-2:])
-        except (ValueError, TypeError, OverflowError):
+            view = _columns(*columns)
+            valid = all(test(view).all() for test, _ in _RULES)
+        except (ValueError, TypeError, OverflowError):  # OverflowError: an integer beyond int64
             valid = False
-    if not valid:
-        _raise_first_error(csv_text)
-    return table, tuple(map(_checked_record, *columns))
+        if valid:
+            table = GameTable.of(view)
+            del view  # the arrays the table does not keep
+            games = tuple(map(_checked_record, *columns))
+            with contextlib.suppress(DuplicateGameError):  # the error path names its row
+                _check_keys_and_teams(games, table)
+                return table, games
+    _raise_first_error(csv_text)
+
+
+def _columns(season, week, dates, home, away, home_score, away_score, line_open, line_close) -> SimpleNamespace:
+    """Field values, as lists in GameRecord field order, turned into arrays
+    under GameRecord's field names: the rules test them all at once, and
+    GameTable stores them. Of a date, only its ``year`` and ordinal ``day``."""
+    return SimpleNamespace(
+        season=_ints(season), week=_ints(week),
+        date=SimpleNamespace(year=_ints([d.year for d in dates]), day=_ints([d.toordinal() for d in dates])),
+        home=np.array(home, dtype=object), away=np.array(away, dtype=object),
+        home_score=_ints(home_score), away_score=_ints(away_score),
+        line_open=np.array(line_open, dtype=float), line_close=np.array(line_close, dtype=float),
+    )
 
 
 def _checked_record(season, week, date, home, away, home_score, away_score, line_open, line_close) -> GameRecord:
@@ -509,79 +540,46 @@ def _checked_record(season, week, date, home, away, home_score, away_score, line
     return record
 
 
-def _valid(table: GameTable, spreads: list[list[float]]) -> bool:
-    """Whether every game passes GameRecord's checks and no key repeats.
-
-    ``GameRecord.__post_init__`` as array operations; ``spreads`` are the
-    opening and closing lines as read.
-    """
-    named = np.array([team != "" for team in table.teams], dtype=bool)
-    # ordinal 719163 is 1970-01-01, day 0 of datetime64
-    years = (table.day - 719163).astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64) + 1970
-    ok = (
-        named[table.home]
-        & named[table.away]
-        & (table.home != table.away)
-        & (table.season >= 0)
-        & (table.week >= 1)
-        & (years - table.season >= 0)
-        & (years - table.season <= 1)
-        & (table.home_score >= 0)
-        & (table.away_score >= 0)
-        & (np.maximum(table.week, np.maximum(table.home_score, table.away_score)) <= MAX_COUNT)
-    )
-    for line in map(np.array, spreads):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok &= (np.abs(line) <= MAX_ABS_SPREAD) & (np.floor(2 * line) == 2 * line)
-    return bool(ok.all()) and _unique_keys(table)
-
-
-def _unique_keys(table: GameTable) -> bool:
-    keys = (table.away, table.home, table.week, table.season)
-    order = np.lexsort(keys)  # by season, week, home, away: equal keys end up adjacent
-    repeats = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for key in keys:
-        repeats &= key[order][1:] == key[order][:-1]
-    return not repeats.any()
-
-
 def _raise_first_error(csv_text: str) -> NoReturn:
     """Parse row by row through GameRecord, and raise the first bad row's error."""
+    games, starts, error = [], [], None
+    try:
+        for line, row in _data_rows(csv_text, GAME_COLUMNS):
+            try:
+                games.append(GameRecord(*(convert(value) for (_, convert), value in zip(_FIELDS, row))))
+            except NonHalfPointSpreadError as exc:
+                raise NonHalfPointSpreadError(exc.value, row=line) from None
+            except (ValueError, TypeError) as exc:  # a conversion, or a GameRecord check
+                raise MalformedRowError(line, str(exc)) from None
+            starts.append(line)
+    except DatasetError as exc:
+        error = exc
+    # a key repeated before the first bad row is reported first
+    _check_keys_and_teams(games, GameTable.of_records(games), rows=starts)
+    raise error or AssertionError("the column checks rejected games that GameRecord accepts")
+
+
+def _data_rows(csv_text: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """The line and stripped fields, in ``columns`` order, of each non-blank data row.
+
+    Raises the row-numbered error of the first row with the wrong number of fields.
+    """
     lines, rows = _read_csv(csv_text)
-    idx = _header_index(rows[0], GAME_COLUMNS)
-    seen: set[tuple] = set()
+    if not rows:
+        raise MissingColumnError(list(columns), [])
+    idx = _header_index(rows[0], columns)
     for line, row in zip(lines[1:], rows[1:]):
         if _is_blank(row):
             continue
-        if len(row) != len(GAME_COLUMNS):
-            raise MalformedRowError(line, f"expected {len(GAME_COLUMNS)} fields, got {len(row)}")
-        try:
-            record = GameRecord(*(convert(row[idx[name]].strip()) for name, convert in _FIELDS))
-        except NonHalfPointSpreadError as exc:
-            raise NonHalfPointSpreadError(exc.value, row=line) from None
-        except (ValueError, TypeError) as exc:  # a conversion, or a GameRecord check
-            raise MalformedRowError(line, str(exc)) from None
-        if record.key in seen:
-            raise DuplicateGameError(line, record.key)
-        seen.add(record.key)
-    raise AssertionError("the column checks rejected games that GameRecord accepts")
+        if len(row) != len(columns):
+            raise MalformedRowError(line, f"expected {len(columns)} fields, got {len(row)}")
+        yield line, [row[idx[name]].strip() for name in columns]
 
 
 def parse_divisions(csv_text: str) -> DivisionMap:
     """Parse the divisions CSV (columns team,conference,division; 32 rows)."""
-    lines, rows = _read_csv(csv_text)
-    if not rows:
-        raise MissingColumnError(list(DIVISION_COLUMNS), [])
-    idx = _header_index(rows[0], DIVISION_COLUMNS)
     entries: dict[str, tuple[str, str]] = {}
-    for rownum, row in zip(lines[1:], rows[1:]):
-        if _is_blank(row):
-            continue
-        if len(row) != len(DIVISION_COLUMNS):
-            raise MalformedRowError(rownum, f"expected {len(DIVISION_COLUMNS)} fields, got {len(row)}")
-        team = row[idx["team"]].strip()
-        conf = row[idx["conference"]].strip()
-        div = row[idx["division"]].strip()
+    for rownum, (team, conf, div) in _data_rows(csv_text, DIVISION_COLUMNS):
         if not team:
             raise MalformedRowError(rownum, "empty team code")
         if conf not in CONFERENCES:
@@ -637,5 +635,5 @@ def load_dataset(games_path: str | Path, divisions_path: str | Path) -> Dataset:
     """Load and cross-validate a games file against a division map."""
     table, games = _parse_games(_read_text(games_path))
     divisions = load_divisions(divisions_path)
-    _check_keys_and_teams(games, table, divisions, keys=False)  # parsing checked the keys
+    _check_keys_and_teams(games, table, divisions)
     return Dataset._checked(games, table, divisions, str(games_path))

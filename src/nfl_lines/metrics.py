@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import Dataset, GameRecord, GameSide, GameTable
+from .stats import check_positive
 
 #: Default bin widths: half-point market granularity for spreads, whole
 #: points for line-difference values.
@@ -234,8 +235,7 @@ class Histogram:
 
 def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) -> Histogram:
     """Bin values at the given width; empty input gives an empty histogram."""
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    check_positive("bin_width", bin_width)
     counts: dict[int, int] = defaultdict(int)
     for v in values:
         # tolerance of one part in 1e9 so grid-aligned values land in the
@@ -267,8 +267,7 @@ def movement_fraction_by_week(dataset: Dataset, threshold: float) -> WeeklyMovem
     Also reports the mean and (sample) standard deviation of the weekly
     fractions and the overall game-weighted fraction.
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    check_positive("threshold", threshold)
     table = dataset.table
     weeks, week = np.unique(table.week, return_inverse=True)
     week = week.reshape(-1)

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .stats import std_normal_cdf
+from .stats import check_positive, std_normal_cdf
 
 #: Fitted standard deviation of the line-difference distribution over the
 #: 2002-2011 seasons; the default model sigma.
@@ -34,8 +34,7 @@ class WinModel:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        check_positive("sigma", self.sigma)
 
 
 def win_probability(model: WinModel, spread: float) -> float:

@@ -25,6 +25,15 @@ class DegenerateBinningError(ValueError):
     pass
 
 
+def check_positive(name: str, *values: float, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless every one of ``values`` is positive and finite."""
+    got = ", ".join(f"{value}" for value in values)
+    if any(value <= 0 for value in values):
+        raise error(f"{name} must be positive, got {got}")
+    if not all(value < math.inf for value in values):  # false for nan
+        raise error(f"{name} must be finite, got {got}")
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
@@ -102,10 +111,10 @@ def chi_square_gof(
     n = arr.size
     if n < 30:
         raise InsufficientDataError(f"need at least 30 values, got {n}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    check_positive("sigma", sigma)
+    check_positive("bin_width", bin_width)
+    if not -math.inf < min_expected < math.inf:
+        raise ValueError(f"min_expected must be finite, got {min_expected}")
 
     # interior edges at +/-(w/2 + k*w), wide enough to cover both the data
     # and essentially all model mass

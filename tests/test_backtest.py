@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,3 +208,12 @@ def test_ledger_csv(divisions):
     lines = ledger.to_csv().strip().splitlines()
     assert lines[0] == "season,week,date,home,away,side,line_close,outcome,cashflow"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_prices_reject_non_finite_values(regular_dataset, value):
+    for payout, stake in ((value, 110.0), (100.0, value)):
+        with pytest.raises(NonPositiveStakeError, match="stake and payout must be"):
+            break_even_ratio(payout, stake)
+        with pytest.raises(NonPositiveStakeError, match="stake and payout must be"):
+            run_strategy(regular_dataset, HOME_UNDERDOG, stake=stake, win_payout=payout)

@@ -267,3 +267,24 @@ def test_short_season_warning_is_a_diagnostic(tmp_path, capsys):
     assert diagnostics[0].startswith("warning: season 2002: teams with a schedule other than 16 games: [")
     assert "IncompleteScheduleWarning" not in err
     assert ".py:" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gof", "--sigma", "nan"],
+        ["gof", "--sigma", "inf"],
+        ["gof", "--min-expected", "nan"],
+        ["gof", "--bin-width", "nan"],
+        ["hist", "--metric", "ld", "--bin-width", "nan"],
+        ["simulate", "--season", "2002", "--sigma", "nan"],
+        ["backtest", "--strategy", "home-underdog", "--stake", "nan"],
+        ["backtest", "--strategy", "home-underdog", "--payout", "inf"],
+    ],
+)
+def test_non_finite_parameter_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv, *DATA_ARGS)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err

@@ -241,3 +241,15 @@ def test_home_record_table_csv(regular_dataset):
     assert lines[0].startswith("season,favorites_wins")
     assert lines[-1].startswith("total,")
     assert len(lines) == 2 + len(table.by_season)
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+def test_histogram_rejects_non_finite_width(width):
+    with pytest.raises(ValueError, match="bin_width must be"):
+        histogram([1.0], width)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_movement_fraction_rejects_non_finite_threshold(regular_dataset, threshold):
+    with pytest.raises(ValueError, match="threshold must be"):
+        movement_fraction_by_week(regular_dataset, threshold)

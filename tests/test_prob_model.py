@@ -177,3 +177,9 @@ def test_win_distribution_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "k,probability"
     assert lines[1] == "0,0.25"
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_win_model_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be"):
+        WinModel(sigma=sigma)

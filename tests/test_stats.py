@@ -178,3 +178,11 @@ def test_gof_parameter_validation():
         chi_square_gof(values, 0.0)
     with pytest.raises(ValueError):
         chi_square_gof(values, 1.0, bin_width=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["sigma", "bin_width", "min_expected"])
+def test_gof_rejects_non_finite_parameters(name, value):
+    kwargs = {"sigma": 13.588, "bin_width": 2.0, "min_expected": 5.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        chi_square_gof(list(range(40)), **kwargs)
