@@ -7,13 +7,12 @@ refund the stake and are excluded from win-ratio denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GAME_COLUMNS, Dataset, GameRecord, GameSide, _checked_record
+from .dataset import Dataset, GameRecord, GameSide
 from .metrics import AtsOutcome, ats_outcome
 from .stats import check_positive
 
@@ -146,7 +145,7 @@ def run_strategy(
     if line not in ("close", "open"):
         raise ValueError(f"line must be 'close' or 'open', got {line!r}")
     if strategy.rule is None:
-        rows, sides = _select(dataset.games, strategy, line)
+        rows, sides = _select(_priced(dataset, line), strategy)
     else:
         accepts, side = strategy.rule
         rows = np.flatnonzero(accepts(dataset.table.line2(line) * 0.5))
@@ -154,21 +153,18 @@ def run_strategy(
     return _settle(dataset, rows, sides, line, stake, win_payout)
 
 
-_FIELDS_BUT_CLOSE = attrgetter(*GAME_COLUMNS[:-1])  # line_close is the last field
-
-
-def _priced(game: GameRecord, line: str) -> GameRecord:
-    """The game as a strategy sees it: on the open line, line_close holds the opening spread."""
+def _priced(dataset: Dataset, line: str) -> tuple[GameRecord, ...]:
+    """The games as a strategy sees them: on the open line, line_close holds the opening spread."""
     if line == "close":
-        return game
-    return _checked_record(*_FIELDS_BUT_CLOSE(game), game.line_open)
+        return dataset.games
+    return replace(dataset.table, line_close=dataset.table.line_open).records()
 
 
-def _select(games: Sequence[GameRecord], strategy: Strategy, line: str) -> tuple[np.ndarray, list]:
+def _select(games: Sequence[GameRecord], strategy: Strategy) -> tuple[np.ndarray, list]:
     """Rows and sides a per-game selector bets: the one path for strategies without a rule."""
     rows, sides = [], []
     for i, game in enumerate(games):
-        side = strategy(_priced(game, line))
+        side = strategy(game)
         if side is not None:
             rows.append(i)
             sides.append(side)
@@ -216,7 +212,7 @@ def _bet_signs(dataset: Dataset, rows: np.ndarray, sides: list, line: str) -> np
     unresolved = np.flatnonzero(flip == 0)  # a favorite or underdog bet on a pick-em
     if unresolved.size:
         k = int(unresolved[0])
-        ats_outcome(_priced(dataset.games[rows[k]], line), sides[k])  # raises UnresolvableSideError
+        ats_outcome(_priced(dataset, line)[rows[k]], sides[k])  # raises UnresolvableSideError
     return flip * np.sign(2 * table.margin[rows] - line2).astype(np.int8)
 
 

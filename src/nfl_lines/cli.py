@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import (
+    ALL_UNDERDOGS,
     BUILTIN_STRATEGIES,
     break_even_ratio,
     compare_to_breakeven,
@@ -232,14 +233,15 @@ def cmd_backtest(ds: Dataset, args: argparse.Namespace) -> int:
 def _mirror_check(ds: Dataset, args: argparse.Namespace) -> bool | None:
     """Favorite wins must equal underdog losses on the same games, and vice versa.
 
-    One settlement of the favorite's side gives both records: the underdog's
-    result in each game is the favorite's, mirrored.
+    The underdog side is settled on its own, by the backtest, and the
+    favorite side by the metrics.
     """
     favorite = favorite_signs(ds.table, args.line)
     if not favorite.size:
         return None
-    underdog = -favorite
-    return all(np.count_nonzero(favorite == s) == np.count_nonzero(underdog == -s) for s in (1, -1, 0))
+    underdog = run_strategy(ds, ALL_UNDERDOGS, line=args.line)
+    mirrored = tuple(np.count_nonzero(favorite == s) for s in (-1, 1, 0))  # the favorite's L/W/P
+    return (underdog.wins, underdog.losses, underdog.pushes) == mirrored
 
 
 def cmd_movement(ds: Dataset, args: argparse.Namespace) -> int:

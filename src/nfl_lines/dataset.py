@@ -4,17 +4,18 @@ Sign convention for spreads: home-positive. ``line_close > 0`` means the
 home team is favored by that many points; negative values favor the
 visitor; ``0`` is a pick-em with no favorite.
 
-Storage: a :class:`Dataset` holds its games once as numpy columns
+Storage: a :class:`Dataset` holds its games once, as numpy columns
 (``Dataset.table``, a :class:`GameTable`), which the metrics and
-backtests compute on, and once as :class:`GameRecord` rows
-(``Dataset.games``), the public row type, built once per game.
+backtests compute on. ``Dataset.games`` reads them back as
+:class:`GameRecord` rows, the public row type, the first time it is asked.
 
 Validation: each rule a single game must pass is defined once, in
 ``_RULES``. ``GameRecord`` raises the first rule a record fails, and
 ``parse_games`` runs the same tests over whole columns; one column search
 finds repeated keys and teams outside the division map. Only when a check
 fails is the text re-read row by row through ``GameRecord``, so the error
-names the first bad row as a row-by-row parse would. ``filter`` is a mask.
+names the first bad row as a row-by-row parse would, even when a later row
+cannot be read. ``filter`` is a mask.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date as Date
 from enum import Enum
 from functools import cached_property
-from itertools import compress
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -281,8 +281,9 @@ class GameTable:
     """Games as aligned numpy columns, one row per game, in dataset order.
 
     ``home``/``away`` index into ``teams`` (sorted codes), ``day`` is the
-    date's ordinal, and ``open2``/``close2`` are the spreads in integer
-    half-points, so settlement is exact integer arithmetic.
+    date's ordinal, and ``line_open``/``line_close`` are the spreads as
+    parsed (a ``-0`` keeps its sign). ``open2``/``close2`` are the spreads
+    in integer half-points, so settlement is exact integer arithmetic.
     """
 
     season: np.ndarray
@@ -292,8 +293,8 @@ class GameTable:
     away: np.ndarray
     home_score: np.ndarray
     away_score: np.ndarray
-    open2: np.ndarray
-    close2: np.ndarray
+    line_open: np.ndarray
+    line_close: np.ndarray
     teams: tuple[str, ...]
 
     @classmethod
@@ -304,8 +305,7 @@ class GameTable:
         return cls(
             games.season, games.week, games.date.day,
             _ints(list(map(index, games.home))), _ints(list(map(index, games.away))),
-            games.home_score, games.away_score,
-            (2 * games.line_open).astype(np.int64), (2 * games.line_close).astype(np.int64), teams,
+            games.home_score, games.away_score, games.line_open, games.line_close, teams,
         )
 
     @classmethod
@@ -320,9 +320,21 @@ class GameTable:
         """The rows a boolean mask or an index array selects, in that order."""
         return GameTable(*(getattr(self, f.name)[rows] for f in fields(self)[:-1]), self.teams)
 
+    def records(self) -> tuple[GameRecord, ...]:
+        """The games as GameRecords, read back from the columns."""
+        team = self.teams.__getitem__
+        return tuple(map(
+            _checked_record, self.season.tolist(), self.week.tolist(), map(Date.fromordinal, self.day.tolist()),
+            map(team, self.home.tolist()), map(team, self.away.tolist()), self.home_score.tolist(),
+            self.away_score.tolist(), self.line_open.tolist(), self.line_close.tolist(),
+        ))
+
     def line2(self, line: str) -> np.ndarray:
         """The "close" or "open" spread column, in half-points."""
-        return self.open2 if line == "open" else self.close2
+        return (2 * (self.line_open if line == "open" else self.line_close)).astype(np.int64)
+
+    open2 = property(lambda self: self.line2("open"))
+    close2 = property(lambda self: self.line2("close"))
 
     @property
     def margin(self) -> np.ndarray:
@@ -330,53 +342,52 @@ class GameTable:
         return self.home_score - self.away_score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
     """Validated, ordered collection of games plus the division map.
 
-    ``games`` holds the records and ``table`` the same games as columns.
-    Built from records, keys and teams are checked here; ``load_dataset``
-    and ``filter`` hand over games that are already checked.
+    ``table`` holds the games, and ``games`` reads them back as records on
+    first use. Built from records, keys and teams are checked here;
+    ``load_dataset`` and ``filter`` hand over a table that is already checked.
     """
 
-    games: tuple[GameRecord, ...]
+    table: GameTable
     divisions: DivisionMap
     provenance: str = ""
-    table: GameTable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        games = tuple(self.games)
-        table = GameTable.of_records(games)
-        _check_keys_and_teams(games, table, self.divisions)
-        object.__setattr__(self, "games", games)
-        object.__setattr__(self, "table", table)
+    def __init__(self, games: Iterable[GameRecord], divisions: DivisionMap, provenance: str = ""):
+        table = GameTable.of_records(tuple(games))
+        _check_keys_and_teams(table, divisions)
+        self.__dict__.update(table=table, divisions=divisions, provenance=provenance)
 
     @classmethod
-    def _checked(cls, games: tuple, table: GameTable, divisions: DivisionMap, provenance: str) -> "Dataset":
+    def _checked(cls, table: GameTable, divisions: DivisionMap, provenance: str) -> "Dataset":
         dataset = object.__new__(cls)
-        dataset.__dict__.update(games=games, divisions=divisions, provenance=provenance, table=table)
+        dataset.__dict__.update(table=table, divisions=divisions, provenance=provenance)
         return dataset
 
+    @cached_property
+    def games(self) -> tuple[GameRecord, ...]:
+        """The games as GameRecords, in dataset order."""
+        return self.table.records()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.games, self.divisions, self.provenance) == (other.games, other.divisions, other.provenance)
+
     def __len__(self) -> int:
-        return len(self.games)
+        return len(self.table)
 
     def __iter__(self) -> Iterator[GameRecord]:
         return iter(self.games)
 
     def seasons(self) -> tuple[int, ...]:
-        return tuple(self._season_rows)
+        return tuple(np.unique(self.table.season).tolist())
 
     def season_rows(self, season: int) -> np.ndarray:
         """Positions of the season's games in ``games``, in dataset order."""
-        return self._season_rows.get(season, np.zeros(0, dtype=np.int64))
-
-    @cached_property
-    def _season_rows(self) -> dict[int, np.ndarray]:
-        # one stable sort by season keeps each season's games in dataset order
-        order = np.argsort(self.table.season, kind="stable")
-        seasons, starts = np.unique(self.table.season[order], return_index=True)
-        ends = [*starts[1:].tolist(), len(order)]
-        return {s: order[a:b] for s, a, b in zip(seasons.tolist(), starts.tolist(), ends)}
+        return np.flatnonzero(self.table.season == season)
 
     def filter(
         self,
@@ -397,8 +408,7 @@ class Dataset:
                 keep &= (column >= lo) & (column <= hi)
         if regular_season_only:
             keep &= self.table.week <= REGULAR_SEASON_MAX_WEEK
-        games = tuple(compress(self.games, keep.tolist()))
-        return Dataset._checked(games, self.table.take(keep), self.divisions, self.provenance)
+        return Dataset._checked(self.table.take(keep), self.divisions, self.provenance)
 
 
 def _as_range(value: int | tuple[int, int] | None) -> tuple[int, int] | None:
@@ -412,15 +422,13 @@ def _as_range(value: int | tuple[int, int] | None) -> tuple[int, int] | None:
     return (int(lo), int(hi))
 
 
-def _check_keys_and_teams(
-    games: Sequence[GameRecord], table: GameTable, divisions: DivisionMap | None = None, rows: Sequence[int] = ()
-) -> None:
+def _check_keys_and_teams(table: GameTable, divisions: DivisionMap | None = None, rows: Sequence[int] = ()) -> None:
     """Raise for the first game, in dataset order, that repeats an earlier
     game's key or has a team outside ``divisions`` (when given).
 
     A repeated key is reported before a team, and the home team before the
-    away team. ``table`` holds ``games`` as columns; ``rows``, when given,
-    holds the row number each game is reported with.
+    away team. ``rows``, when given, holds the row number each game is
+    reported with.
     """
     keys = (table.away, table.home, table.week, table.season)
     order = np.lexsort(keys)  # a stable sort: of equal keys, the earliest game comes first
@@ -430,27 +438,10 @@ def _check_keys_and_teams(
     bad = np.flatnonzero(repeated | ~known[table.home] | ~known[table.away])
     if bad.size:
         i = int(bad[0])
+        game = table.take(bad[:1]).records()[0]
         if repeated[i]:
-            raise DuplicateGameError(rows[i] if rows else None, games[i].key)
-        raise UnknownTeamError(games[i].home if games[i].home not in divisions else games[i].away)
-
-
-def _read_csv(csv_text: str) -> tuple[list[int], list[list[str]]]:
-    """CSV records and the 1-based physical line each starts on.
-
-    Only CR and LF end a line: a form feed or U+2028 stays inside its
-    field, and a quoted field may span lines.
-    """
-    reader = csv.reader(io.StringIO(csv_text, newline=""))
-    lines, rows, line = [], [], 1
-    try:
-        for row in reader:
-            lines.append(line)
-            rows.append(row)
-            line = reader.line_num + 1
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise MalformedRowError(line, str(exc)) from None
-    return lines, rows
+            raise DuplicateGameError(rows[i] if rows else None, game.key)
+        raise UnknownTeamError(game.home if game.home not in divisions else game.away)
 
 
 def _is_blank(row: Sequence[str]) -> bool:
@@ -478,10 +469,10 @@ def parse_games(csv_text: str) -> list[GameRecord]:
     Row numbers in errors are the 1-based physical lines rows start on
     (the header is line 1).
     """
-    return list(_parse_games(csv_text)[1])
+    return list(_parse_games(csv_text).records())
 
 
-def _parse_games(csv_text: str) -> tuple[GameTable, tuple[GameRecord, ...]]:
+def _parse_games(csv_text: str) -> GameTable:
     try:
         rows = list(csv.reader(io.StringIO(csv_text, newline="")))
     except csv.Error:  # e.g. a field over csv.field_size_limit(): the error path names its line
@@ -503,11 +494,9 @@ def _parse_games(csv_text: str) -> tuple[GameTable, tuple[GameRecord, ...]]:
             valid = False
         if valid:
             table = GameTable.of(view)
-            del view  # the arrays the table does not keep
-            games = tuple(map(_checked_record, *columns))
             with contextlib.suppress(DuplicateGameError):  # the error path names its row
-                _check_keys_and_teams(games, table)
-                return table, games
+                _check_keys_and_teams(table)
+                return table
     _raise_first_error(csv_text)
 
 
@@ -555,25 +544,31 @@ def _raise_first_error(csv_text: str) -> NoReturn:
     except DatasetError as exc:
         error = exc
     # a key repeated before the first bad row is reported first
-    _check_keys_and_teams(games, GameTable.of_records(games), rows=starts)
+    _check_keys_and_teams(GameTable.of_records(games), rows=starts)
     raise error or AssertionError("the column checks rejected games that GameRecord accepts")
 
 
 def _data_rows(csv_text: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """The line and stripped fields, in ``columns`` order, of each non-blank data row.
+    """The 1-based physical line and stripped fields, in ``columns`` order,
+    of each non-blank data row, read one row at a time: an error names the
+    first bad row even when a later row is one the CSV reader cannot read.
 
-    Raises the row-numbered error of the first row with the wrong number of fields.
+    Only CR and LF end a line: a form feed or U+2028 stays inside its field,
+    and a quoted field may span lines.
     """
-    lines, rows = _read_csv(csv_text)
-    if not rows:
-        raise MissingColumnError(list(columns), [])
-    idx = _header_index(rows[0], columns)
-    for line, row in zip(lines[1:], rows[1:]):
-        if _is_blank(row):
-            continue
-        if len(row) != len(columns):
-            raise MalformedRowError(line, f"expected {len(columns)} fields, got {len(row)}")
-        yield line, [row[idx[name]].strip() for name in columns]
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
+    line = 1
+    try:
+        idx = _header_index(next(reader, []), columns)
+        line = reader.line_num + 1
+        for row in reader:
+            if not _is_blank(row):
+                if len(row) != len(columns):
+                    raise MalformedRowError(line, f"expected {len(columns)} fields, got {len(row)}")
+                yield line, [row[idx[name]].strip() for name in columns]
+            line = reader.line_num + 1
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRowError(line, str(exc)) from None
 
 
 def parse_divisions(csv_text: str) -> DivisionMap:
@@ -633,7 +628,7 @@ def load_divisions(path: str | Path) -> DivisionMap:
 
 def load_dataset(games_path: str | Path, divisions_path: str | Path) -> Dataset:
     """Load and cross-validate a games file against a division map."""
-    table, games = _parse_games(_read_text(games_path))
+    table = _parse_games(_read_text(games_path))
     divisions = load_divisions(divisions_path)
-    _check_keys_and_teams(games, table, divisions)
-    return Dataset._checked(games, table, divisions, str(games_path))
+    _check_keys_and_teams(table, divisions)
+    return Dataset._checked(table, divisions, str(games_path))

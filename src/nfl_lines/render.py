@@ -6,6 +6,7 @@ Static output only; byte-deterministic for a given histogram and options.
 from __future__ import annotations
 
 from .metrics import Histogram
+from .stats import check_bins
 
 
 def histogram_svg(
@@ -22,6 +23,7 @@ def histogram_svg(
     if items:
         lo = items[0][0]
         hi = items[-1][0]
+        check_bins(hist.bin_width, hi - lo + 1)  # one bar per bin from lo to hi
         counts = dict(items)
         indices = list(range(lo, hi + 1))
         max_count = max(counts.values())

@@ -12,6 +12,10 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
+#: Most bins a binned layout may have: its time and memory grow with the
+#: bin count, which a narrow enough width makes as large as it likes.
+MAX_BINS = 10_000
+
 
 class InsufficientDataError(ValueError):
     pass
@@ -23,6 +27,19 @@ class EmptySampleError(ValueError):
 
 class DegenerateBinningError(ValueError):
     pass
+
+
+class TooManyBinsError(ValueError):
+    def __init__(self, bin_width: float, bins: float):
+        super().__init__(f"bin width {bin_width:g} gives {bins:.0f} bins, more than {MAX_BINS}")
+        self.bin_width = bin_width
+        self.bins = bins
+
+
+def check_bins(bin_width: float, bins: float) -> None:
+    """Raise TooManyBinsError if a layout at ``bin_width`` has more than MAX_BINS bins."""
+    if bins > MAX_BINS:
+        raise TooManyBinsError(bin_width, bins)
 
 
 def check_positive(name: str, *values: float, error: type[ValueError] = ValueError) -> None:
@@ -120,7 +137,9 @@ def chi_square_gof(
     # and essentially all model mass
     half = bin_width / 2.0
     reach = max(float(np.abs(arr).max()), 6.0 * sigma) + bin_width
-    k_max = int(math.ceil((reach - half) / bin_width))
+    k_max = np.ceil((reach - half) / bin_width)  # inf when the division overflows
+    check_bins(bin_width, 2 * k_max + 3)
+    k_max = int(k_max)
     edges = np.array(
         [-half - k * bin_width for k in range(k_max, 0, -1)]
         + [-half]

@@ -288,3 +288,28 @@ def test_non_finite_parameter_exits_1(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, bins",
+    [
+        (["gof", "--bin-width", "0.0163"], 10009),
+        (["hist", "--metric", "ld", "--format", "svg", "--bin-width", "0.00855"], 10001),
+    ],
+)
+def test_bin_width_past_the_bin_bound_exits_1(capsys, argv, bins):
+    code, out, err = run(capsys, *argv, *DATA_ARGS)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bin width {argv[-1]} gives {bins} bins, more than 10000\n"
+
+
+def test_backtest_mirror_check_can_fail(capsys, monkeypatch):
+    import nfl_lines.cli
+
+    # the favorite's side settled wrongly: every result turned over
+    settle = nfl_lines.cli.favorite_signs
+    monkeypatch.setattr(nfl_lines.cli, "favorite_signs", lambda table, line: -settle(table, line))
+    code, out, _ = run(capsys, "backtest", *DATA_ARGS, "--strategy", "home-underdog")
+    assert code == 0
+    assert "favorite/underdog mirror check: FAILED" in out

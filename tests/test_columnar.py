@@ -412,3 +412,21 @@ def test_records_equal_the_validated_constructor(fixture_all):
     rebuilt = tuple(GameRecord(*(getattr(g, f.name) for f in fields(GameRecord))) for g in fixture_all)
     assert rebuilt == fixture_all.games
     assert Dataset(rebuilt, fixture_all.divisions).table.close2.tolist() == fixture_all.table.close2.tolist()
+
+
+def test_filter_and_table_metrics_build_no_records(monkeypatch):
+    import nfl_lines.dataset
+
+    def no_record(*args):
+        raise AssertionError("a GameRecord was built")
+
+    monkeypatch.setattr(nfl_lines.dataset, "_checked_record", no_record)
+    monkeypatch.setattr(GameRecord, "__post_init__", no_record)
+    dataset = load_dataset(FIXTURE_GAMES, DIVISIONS).filter(seasons=2003, regular_season_only=True)
+    home_record_table(dataset)
+    favorite_ats_summary(dataset)
+    movement_fraction_by_week(dataset, 1.0)
+    movement_cumulative_counts(dataset)
+    pick_em_count(dataset)
+    empirical_win_rate(dataset, 3.0)
+    assert len(dataset) == 256

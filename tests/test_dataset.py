@@ -299,3 +299,52 @@ def test_row_number_is_the_physical_line_after_a_multiline_field():
         parse_games(text)
     assert err.value.row == 4
     assert str(err.value).startswith("row 4: ")
+
+
+# -- one store: records are read back from the table --------------------------
+
+OVERSIZED = "x" * 200_000  # over csv.field_size_limit()
+
+
+@pytest.mark.parametrize("spelled", ["-0", "-0.0", "+3", "3.50"])
+def test_loaded_records_equal_parsed_records(tmp_path, spelled):
+    text = HEADER + f"\n2007,1,2007-09-09,NYJ,NE,14,38,{spelled},{spelled}\n"
+    games = tmp_path / "games.csv"
+    games.write_text(text, encoding="utf-8")
+    loaded = load_dataset(games, DIVISIONS).games
+    assert repr(loaded) == repr(tuple(parse_games(text)))
+    assert repr(loaded[0].line_open) == repr(loaded[0].line_close) == repr(float(spelled))
+
+
+def test_fixture_records_equal_parsed_records(fixture_dataset):
+    assert repr(fixture_dataset.games) == repr(tuple(parse_games(FIXTURE_GAMES.read_text())))
+
+
+def test_dataset_equality_reads_the_games(fixture_dataset, divisions):
+    games = fixture_dataset.filter(seasons=2002).games
+    assert Dataset(games, divisions).games == games
+    assert load_dataset(FIXTURE_GAMES, DIVISIONS) == load_dataset(FIXTURE_GAMES, DIVISIONS)
+    assert fixture_dataset.filter(seasons=2002) != fixture_dataset
+
+
+# -- the first bad row wins over a later row the CSV reader cannot read -------
+
+
+def test_bad_week_before_an_oversized_field_is_reported():
+    good = "2007,1,2007-09-09,NYJ,NE,14,38,-6,-7"
+    text = "\n".join([HEADER, good, "2007,two,2007-09-16,NE,SD,24,14,3,3", good, OVERSIZED]) + "\n"
+    with pytest.raises(MalformedRowError) as err:
+        parse_games(text)
+    assert err.value.row == 3
+
+
+def test_bad_conference_before_an_oversized_field_is_reported():
+    text = "\n".join(["team,conference,division", "NE,AFC,East", "NYJ,XFL,East", "MIA,AFC,East", OVERSIZED]) + "\n"
+    with pytest.raises(UnknownConferenceError) as err:
+        parse_divisions(text)
+    assert str(err.value).startswith("row 3: ")
+
+
+def test_missing_column_before_an_oversized_field_is_reported():
+    with pytest.raises(MissingColumnError):
+        parse_games(HEADER.replace(",line_close", "") + "\n" + OVERSIZED + "\n")

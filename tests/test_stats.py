@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2
 
+from nfl_lines.metrics import Histogram
+from nfl_lines.render import histogram_svg
 from nfl_lines.stats import (
+    MAX_BINS,
     DegenerateBinningError,
     EmptySampleError,
     InsufficientDataError,
+    TooManyBinsError,
     chi_square_gof,
     moments,
     proportion_z,
@@ -186,3 +190,17 @@ def test_gof_rejects_non_finite_parameters(name, value):
     kwargs = {"sigma": 13.588, "bin_width": 2.0, "min_expected": 5.0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be"):
         chi_square_gof(list(range(40)), **kwargs)
+
+
+def test_gof_rejects_a_width_just_past_the_bin_bound():
+    # values within 6 sigma give interior edges out to 6 + width: 2 * 4999 + 3 bins
+    width = 6.0 / 4998
+    with pytest.raises(TooManyBinsError, match=f"gives {2 * 4999 + 3} bins, more than {MAX_BINS}") as err:
+        chi_square_gof(np.linspace(-1.0, 1.0, 40), 1.0, bin_width=width)
+    assert err.value.bin_width == width
+
+
+def test_histogram_svg_rejects_one_bar_past_the_bin_bound():
+    with pytest.raises(TooManyBinsError, match=f"gives {MAX_BINS + 1} bins"):
+        histogram_svg(Histogram(1.0, 0.0, {0: 1, MAX_BINS: 1}, 2))
+    assert histogram_svg(Histogram(1.0, 0.0, {0: 1, MAX_BINS - 1: 1}, 2)).count("<rect ") == MAX_BINS + 1
