@@ -12,8 +12,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, GameRecord, GameSide
-from .metrics import AtsOutcome, ats_outcome
+from .dataset import Dataset, GameRecord, GameSide, GameTable
+from .metrics import AtsOutcome, ats_outcome, ats_signs
 from .stats import check_positive
 
 DEFAULT_STAKE = 110.0
@@ -77,14 +77,6 @@ def break_even_ratio(win_payout: float, stake: float) -> float:
 
 
 @dataclass(frozen=True)
-class Bet:
-    game: GameRecord
-    side: GameSide
-    outcome: AtsOutcome
-    cashflow: float
-
-
-@dataclass(frozen=True)
 class LedgerSummary:
     wins: int
     losses: int
@@ -94,32 +86,28 @@ class LedgerSummary:
 
 
 @dataclass(frozen=True)
-class StrategyLedger:
-    """Bet-by-bet results plus totals and a per-season breakdown."""
+class StrategyLedger(LedgerSummary):
+    """The totals over every bet, the bets themselves, and a per-season breakdown.
 
-    bets: tuple[Bet, ...]
-    wins: int
-    losses: int
-    pushes: int
-    win_ratio: float
-    profit: float
+    Bet ``k`` is on ``sides[k]`` in row ``k`` of ``bets``, the games bet on
+    in bet order, and settles as ``outcomes[k]`` for ``cashflows[k]``.
+    """
+
+    bets: GameTable = field(compare=False)
+    sides: tuple[GameSide, ...]
+    outcomes: tuple[AtsOutcome, ...]
+    cashflows: tuple[float, ...]
     per_season: Mapping[int, LedgerSummary]
 
     def to_csv(self) -> str:
+        """One line per bet; the bets' GameRecords are built here, and only here."""
         lines = ["season,week,date,home,away,side,line_close,outcome,cashflow"]
-        for b in self.bets:
-            g = b.game
+        for g, side, outcome, cashflow in zip(self.bets.records(), self.sides, self.outcomes, self.cashflows):
             lines.append(
                 f"{g.season},{g.week},{g.date.isoformat()},{g.home},{g.away},"
-                f"{b.side.value},{g.line_close:g},{b.outcome.value},{b.cashflow:g}"
+                f"{side.value},{g.line_close:g},{outcome.value},{cashflow:g}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _summarize(bets: Sequence[Bet]) -> LedgerSummary:
-    wins = sum(1 for b in bets if b.outcome is AtsOutcome.COVER)
-    losses = sum(1 for b in bets if b.outcome is AtsOutcome.NO_COVER)
-    return _summary(wins, losses, len(bets) - wins - losses, [b.cashflow for b in bets])
 
 
 def _summary(wins: int, losses: int, pushes: int, cashflows: Sequence[float]) -> LedgerSummary:
@@ -150,7 +138,7 @@ def run_strategy(
         accepts, side = strategy.rule
         rows = np.flatnonzero(accepts(dataset.table.line2(line) * 0.5))
         sides = [side] * len(rows)
-    return _settle(dataset, rows, sides, line, stake, win_payout)
+    return _settle(dataset.table, rows, tuple(sides), line, stake, win_payout)
 
 
 def _priced(dataset: Dataset, line: str) -> tuple[GameRecord, ...]:
@@ -176,18 +164,16 @@ _OUTCOMES = (AtsOutcome.PUSH, AtsOutcome.COVER, AtsOutcome.NO_COVER)
 
 
 def _settle(
-    dataset: Dataset, rows: np.ndarray, sides: list, line: str, stake: float, win_payout: float
+    table: GameTable, rows: np.ndarray, sides: tuple, line: str, stake: float, win_payout: float
 ) -> StrategyLedger:
     """Settle a bet on ``sides[k]`` in game ``rows[k]``, all at once."""
-    result = _bet_signs(dataset, rows, sides, line)
+    result = _bet_signs(table, rows, sides, line)
     signs = result.tolist()
-    cash = [(0.0, win_payout, -stake)[r] for r in signs]
-    games = map(dataset.games.__getitem__, rows)
-    bets = tuple(map(Bet, games, sides, map(_OUTCOMES.__getitem__, signs), cash))
+    # every bet's outcome and cashflow is one of three shared objects
+    cash = tuple(map((0.0, win_payout, -stake).__getitem__, signs))
     wins, losses = signs.count(1), signs.count(-1)
-    total = _summary(wins, losses, len(signs) - wins - losses, cash)
     # per season: one bincount of (season, result), and the cashflows in bet order
-    seasons, season = np.unique(dataset.table.season[rows], return_inverse=True)
+    seasons, season = np.unique(table.season[rows], return_inverse=True)
     season = season.reshape(-1)
     counts = np.bincount(season * 3 + result + 1, minlength=3 * len(seasons)).reshape(-1, 3)
     ordered = np.array(cash, dtype=object)[np.argsort(season, kind="stable")]
@@ -196,24 +182,27 @@ def _settle(
         s: _summary(won, lost, pushed, season_flows)
         for s, (lost, pushed, won), season_flows in zip(seasons.tolist(), counts.tolist(), flows)
     }
-    return StrategyLedger(bets, total.wins, total.losses, total.pushes, total.win_ratio, total.profit, per_season)
+    return StrategyLedger(
+        **vars(_summary(wins, losses, len(signs) - wins - losses, cash)),
+        bets=table.take(rows), sides=sides, outcomes=tuple(map(_OUTCOMES.__getitem__, signs)), cashflows=cash,
+        per_season=per_season,
+    )
 
 
-def _bet_signs(dataset: Dataset, rows: np.ndarray, sides: list, line: str) -> np.ndarray:
+def _bet_signs(table: GameTable, rows: np.ndarray, sides: tuple, line: str) -> np.ndarray:
     """Each bet's ATS sign: +1 cover, 0 push, -1 no cover."""
-    table = dataset.table
-    line2 = table.line2(line)[rows]
     # the sign that turns the home side's result into the bet side's; away,
     # and any other side, mirrors the home side, as in ats_outcome
-    spread = np.sign(line2).astype(np.int8)
+    spread = np.sign(table.line2(line)[rows]).astype(np.int8)
     flip = np.full(len(rows), -1, dtype=np.int8)
     for side, sign in ((GameSide.HOME, 1), (GameSide.FAVORITE, spread), (GameSide.UNDERDOG, -spread)):
         np.copyto(flip, sign, where=np.fromiter((s is side for s in sides), dtype=bool, count=len(sides)))
-    unresolved = np.flatnonzero(flip == 0)  # a favorite or underdog bet on a pick-em
+    unresolved = np.flatnonzero(flip == 0)  # a favorite or underdog bet on a pick-em on this line
     if unresolved.size:
         k = int(unresolved[0])
-        ats_outcome(_priced(dataset, line)[rows[k]], sides[k])  # raises UnresolvableSideError
-    return flip * np.sign(2 * table.margin[rows] - line2).astype(np.int8)
+        game = table.take(rows[k : k + 1]).records()[0]
+        ats_outcome(replace(game, line_close=0.0), sides[k])  # a pick-em here: raises UnresolvableSideError
+    return flip * ats_signs(table, line)[rows]
 
 
 def yearly_cover_series(dataset: Dataset, strategy: Strategy, line: str = "close") -> dict[int, float]:

@@ -426,21 +426,27 @@ def _check_keys_and_teams(table: GameTable, divisions: DivisionMap | None = None
     """Raise for the first game, in dataset order, that repeats an earlier
     game's key or has a team outside ``divisions`` (when given).
 
-    A repeated key is reported before a team, and the home team before the
-    away team. ``rows``, when given, holds the row number each game is
-    reported with.
+    A repeated key is reported before a team of the same game. ``rows``,
+    when given, holds the row number each game is reported with.
     """
     keys = (table.away, table.home, table.week, table.season)
     order = np.lexsort(keys)  # a stable sort: of equal keys, the earliest game comes first
-    repeated = np.zeros(len(order), dtype=bool)
-    repeated[order[1:][np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in keys])]] = True
-    known = np.array([divisions is None or team in divisions for team in table.teams], dtype=bool)
-    bad = np.flatnonzero(repeated | ~known[table.home] | ~known[table.away])
+    repeated = order[1:][np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in keys])]
+    first = int(repeated.min()) if repeated.size else len(table)
+    if divisions is not None:
+        _check_teams(table.take(np.arange(first)), divisions)
+    if repeated.size:
+        game = table.take(np.array([first])).records()[0]
+        raise DuplicateGameError(rows[first] if rows else None, game.key)
+
+
+def _check_teams(table: GameTable, divisions: DivisionMap) -> None:
+    """Raise for the first game, in dataset order, with a team outside
+    ``divisions``: its home team if that one is missing, else its away team."""
+    known = np.array([team in divisions for team in table.teams], dtype=bool)
+    bad = np.flatnonzero(~known[table.home] | ~known[table.away])
     if bad.size:
-        i = int(bad[0])
         game = table.take(bad[:1]).records()[0]
-        if repeated[i]:
-            raise DuplicateGameError(rows[i] if rows else None, game.key)
         raise UnknownTeamError(game.home if game.home not in divisions else game.away)
 
 
@@ -630,5 +636,5 @@ def load_dataset(games_path: str | Path, divisions_path: str | Path) -> Dataset:
     """Load and cross-validate a games file against a division map."""
     table = _parse_games(_read_text(games_path))
     divisions = load_divisions(divisions_path)
-    _check_keys_and_teams(table, divisions)
+    _check_teams(table, divisions)  # the keys are unique: _parse_games checked them
     return Dataset._checked(table, divisions, str(games_path))

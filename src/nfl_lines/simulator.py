@@ -122,11 +122,14 @@ def simulate(
 
     Each game resolves independently as a home win with its scheduled
     probability, one uniform draw per (replication, game). Predicted wins
-    are the per-team means rounded half-up. ``workers`` is accepted for
-    compatibility and has no effect.
+    are the per-team means rounded half-up. ``seed`` must be in [0, 2**64).
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    seed64 = int(seed)
+    if not 0 <= seed64 < 2**64:  # a wider seed would alias one inside the range
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     teams = schedule.teams
     index = {t: i for i, t in enumerate(teams)}
     probs = np.array([e.home_win_prob for e in schedule.entries])
@@ -139,7 +142,6 @@ def simulate(
     away_games = np.bincount(away_idx, minlength=n_teams)
     # one Philox, reset for each r to a new Philox(key=[seed64, r])'s state: same
     # stream, no build; a uint64 key, as a list would pass seeds >= 2**63 through float64
-    seed64 = int(seed) & (2**64 - 1)
     bit_gen = np.random.Philox(key=np.array([seed64, 0], dtype=np.uint64))
     fresh = bit_gen.state  # a copy: counter zero, buffer empty
     stream = np.random.Generator(bit_gen)

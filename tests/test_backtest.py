@@ -70,8 +70,8 @@ def test_home_underdog_selects_only_home_dogs(divisions):
     ds = _four_game_dataset(divisions)
     ledger = run_strategy(ds, HOME_UNDERDOG)
     assert len(ledger.bets) == 1
-    assert ledger.bets[0].game.line_close == -3.0
-    assert ledger.bets[0].side is GameSide.HOME
+    assert ledger.bets.line_close.tolist() == [-3.0]
+    assert ledger.sides == (GameSide.HOME,)
 
 
 def test_pick_em_handling(divisions):
@@ -109,7 +109,8 @@ def test_home_bets_partition(regular_dataset):
 def test_composable_predicate_form(regular_dataset):
     big_home_dog = when("big-home-dog", lambda g: g.line_close <= -7.0, GameSide.HOME)
     ledger = run_strategy(regular_dataset, big_home_dog)
-    assert all(b.game.line_close <= -7.0 for b in ledger.bets)
+    assert len(ledger.bets) > 0
+    assert (ledger.bets.line_close <= -7.0).all()
 
 
 def test_open_line_settlement(divisions):
@@ -118,8 +119,8 @@ def test_open_line_settlement(divisions):
     ds = make_dataset([g], divisions)
     close = run_strategy(ds, ALL_HOME)
     open_ = run_strategy(ds, ALL_HOME, line="open")
-    assert close.bets[0].outcome is AtsOutcome.NO_COVER
-    assert open_.bets[0].outcome is AtsOutcome.COVER
+    assert close.outcomes == (AtsOutcome.NO_COVER,)
+    assert open_.outcomes == (AtsOutcome.COVER,)
     with pytest.raises(ValueError):
         run_strategy(ds, ALL_HOME, line="midweek")
 
@@ -176,31 +177,17 @@ quarter_units = st.integers(4, 2000).map(lambda k: k / 4.0)
 
 @given(st.lists(game_records(), min_size=1, max_size=40), quarter_units, quarter_units)
 @settings(max_examples=100, deadline=None)
-def test_sign_law(games, stake, payout):
+def test_sign_law(divisions, games, stake, payout):
     seen, unique = set(), []
     for g in games:
         if g.key not in seen:
             seen.add(g.key)
             unique.append(g)
-    ledger = _run_raw(unique, stake, payout)
+    ledger = run_strategy(make_dataset(unique, divisions), ALL_HOME, stake, payout)
     if ledger.wins + ledger.losses == 0:
         return
     ber = break_even_ratio(payout, stake)
     assert (ledger.profit > 0) == (ledger.win_ratio > ber)
-
-
-def _run_raw(games, stake, payout):
-    # bypass Dataset so hypothesis games need no division map
-    from nfl_lines.backtest import Bet, StrategyLedger, _summarize
-    from nfl_lines.metrics import ats_outcome
-
-    bets = []
-    for g in games:
-        outcome = ats_outcome(g, GameSide.HOME)
-        cash = payout if outcome is AtsOutcome.COVER else -stake if outcome is AtsOutcome.NO_COVER else 0.0
-        bets.append(Bet(g, GameSide.HOME, outcome, cash))
-    total = _summarize(bets)
-    return StrategyLedger(tuple(bets), total.wins, total.losses, total.pushes, total.win_ratio, total.profit, {})
 
 
 def test_ledger_csv(divisions):

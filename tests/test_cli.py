@@ -304,6 +304,15 @@ def test_bin_width_past_the_bin_bound_exits_1(capsys, argv, bins):
     assert err == f"error: bin width {argv[-1]} gives {bins} bins, more than 10000\n"
 
 
+@pytest.mark.parametrize("command", [["simulate", "--season", "2002"], ["predict-divisions"]])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_uint64_exits_1(capsys, command, seed):
+    code, out, err = run(capsys, *command, *DATA_ARGS, "--replications", "10", "--seed", str(seed))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+
 def test_backtest_mirror_check_can_fail(capsys, monkeypatch):
     import nfl_lines.cli
 

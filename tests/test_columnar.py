@@ -12,7 +12,7 @@ bit, and only built-in types inside.
 import math
 import sys
 import warnings
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import fields, is_dataclass, replace
 from datetime import date as Date
 from enum import Enum
@@ -24,10 +24,8 @@ from hypothesis import strategies as st
 
 from nfl_lines.backtest import (
     BUILTIN_STRATEGIES,
-    Bet,
     LedgerSummary,
     NonPositiveStakeError,
-    StrategyLedger,
     run_strategy,
     when,
 )
@@ -171,6 +169,10 @@ def oracle_empirical_win_rate(dataset, spread, tolerance=0.0):
     return EmpiricalWinRate((wins + 0.5 * ties) / n, n, ties)
 
 
+OracleBet = namedtuple("OracleBet", "game side outcome cashflow")
+OracleLedger = namedtuple("OracleLedger", "bets wins losses pushes win_ratio profit per_season")
+
+
 def oracle_summarize(bets):
     wins = sum(1 for b in bets if b.outcome is AtsOutcome.COVER)
     losses = sum(1 for b in bets if b.outcome is AtsOutcome.NO_COVER)
@@ -199,13 +201,24 @@ def oracle_run_strategy(dataset, strategy, stake=110.0, win_payout=100.0, line="
             cash = -stake
         else:
             cash = 0.0
-        bets.append(Bet(g, side, outcome, cash))
+        bets.append(OracleBet(g, side, outcome, cash))
     total = oracle_summarize(bets)
     seasons = sorted({b.game.season for b in bets})
     per_season = {s: oracle_summarize([b for b in bets if b.game.season == s]) for s in seasons}
-    return StrategyLedger(
+    return OracleLedger(
         tuple(bets), total.wins, total.losses, total.pushes, total.win_ratio, total.profit, per_season
     )
+
+
+def oracle_ledger_csv(bets):
+    lines = ["season,week,date,home,away,side,line_close,outcome,cashflow"]
+    for b in bets:
+        g = b.game
+        lines.append(
+            f"{g.season},{g.week},{g.date.isoformat()},{g.home},{g.away},"
+            f"{b.side.value},{g.line_close:g},{b.outcome.value},{b.cashflow:g}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- comparison helpers ---------------------------------------------------------
@@ -265,13 +278,21 @@ def check_backtests(dataset, strategies=STRATEGIES, prices=PRICES):
             for stake, payout in prices:
                 new = outcome(run_strategy, dataset, strategy, stake, payout, line)
                 old = outcome(oracle_run_strategy, dataset, strategy, stake, payout, line)
-                if not isinstance(old, StrategyLedger):
+                if isinstance(old, OracleLedger):
+                    assert_same_ledger(new, old)
+                else:
                     assert_same(new, old)
-                    continue
-                assert new.bets == old.bets
-                assert_builtin_types(new.bets[:500])
-                # every total and per-season float, bit for bit
-                assert_same(replace(new, bets=()), replace(old, bets=()))
+
+
+def assert_same_ledger(new, old):
+    """Every bet's game, side, outcome and cashflow, every total and
+    per-season float bit for bit, and the CSV text."""
+    assert new.bets.records() == tuple(b.game for b in old.bets)
+    for name in ("side", "outcome", "cashflow"):
+        assert_same(getattr(new, name + "s"), tuple(getattr(b, name) for b in old.bets))
+    totals = ("wins", "losses", "pushes", "win_ratio", "profit", "per_season")
+    assert_same([getattr(new, name) for name in totals], [getattr(old, name) for name in totals])
+    assert new.to_csv() == oracle_ledger_csv(old.bets)
 
 
 def check_metrics(dataset):
@@ -404,7 +425,7 @@ def test_push_only_season_is_absent_from_home_records_only(divisions):
     assert home_record_table(dataset).by_season == {}
     ledger = run_strategy(dataset, BUILTIN_STRATEGIES["all-home"])
     assert ledger.per_season == {2005: LedgerSummary(0, 0, 1, 0.0, 0.0)}
-    assert_same(ledger, oracle_run_strategy(dataset, BUILTIN_STRATEGIES["all-home"]))
+    assert_same_ledger(ledger, oracle_run_strategy(dataset, BUILTIN_STRATEGIES["all-home"]))
 
 
 def test_records_equal_the_validated_constructor(fixture_all):
@@ -430,3 +451,12 @@ def test_filter_and_table_metrics_build_no_records(monkeypatch):
     pick_em_count(dataset)
     empirical_win_rate(dataset, 3.0)
     assert len(dataset) == 256
+
+
+@pytest.mark.parametrize("line", ["close", "open"])
+@pytest.mark.parametrize("strategy", BUILTIN_STRATEGIES.values(), ids=list(BUILTIN_STRATEGIES))
+def test_builtin_backtests_read_no_records(strategy, line):
+    dataset = load_dataset(FIXTURE_GAMES, DIVISIONS)
+    ledger = run_strategy(dataset, strategy, line=line)
+    assert len(ledger.bets) == ledger.wins + ledger.losses + ledger.pushes > 0
+    assert "games" not in dataset.__dict__

@@ -1,5 +1,6 @@
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,15 @@ def test_filter_composes_as_intersection(fixture_dataset, seasons, weeks):
     once = fixture_dataset.filter(seasons=seasons, weeks=weeks)
     twice = fixture_dataset.filter(seasons=seasons).filter(weeks=weeks)
     assert once.games == twice.games
+
+
+def test_load_dataset_sorts_the_keys_once(monkeypatch):
+    # the parse finds repeated keys; the division map then needs only the team lookup
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    assert len(load_dataset(FIXTURE_GAMES, DIVISIONS)) == 524
+    assert len(calls) == 1
 
 
 def test_form_feed_in_team_field_names_the_value(tmp_path):

@@ -97,7 +97,7 @@ def test_simulate_worker_count_is_invisible(regular_dataset):
     assert np.array_equal(serial.win_samples, threaded.win_samples)
 
 
-@pytest.mark.parametrize("seed_a, seed_b", [(-1, 0), (2**63, 2**63 + 1)])
+@pytest.mark.parametrize("seed_a, seed_b", [(2**64 - 1, 0), (2**63, 2**63 + 1)])
 def test_simulate_distinct_seeds_give_distinct_streams(regular_dataset, seed_a, seed_b):
     schedule = build_schedule(regular_dataset, 2002, MODEL)
     a = simulate(schedule, 50, seed=seed_a, keep_samples=True)
@@ -123,7 +123,7 @@ def _reference_win_samples(schedule, replications, seed):
     return samples
 
 
-@pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**63 + 1])
 @pytest.mark.parametrize("replications", [1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1])
 def test_simulate_matches_one_philox_per_replication(regular_dataset, seed, replications):
     schedule = build_schedule(regular_dataset, 2002, MODEL)
@@ -138,7 +138,7 @@ def _plain(state):
 
 def test_rekeyed_philox_state_equals_fresh_construction():
     # the reset simulate() makes before each replication, on a used generator
-    seed64 = (-1) & (2**64 - 1)
+    seed64 = 2**64 - 1
     bit_gen = np.random.Philox(key=np.array([seed64, 0], dtype=np.uint64))
     fresh = bit_gen.state
     np.random.Generator(bit_gen).random(7)  # leave a part-used buffer behind
@@ -198,6 +198,13 @@ def test_simulate_rounds_half_up():
 def test_simulate_validates_replications():
     with pytest.raises(ValueError):
         simulate(_toy_schedule([0.5]), 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+def test_simulate_rejects_seeds_outside_uint64(seed):
+    # masked to 64 bits, each would replay the stream of a seed inside the range
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        simulate(_toy_schedule([0.5]), 1, seed=seed)
 
 
 def _result(teams, predicted, mean=None):
