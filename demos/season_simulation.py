@@ -41,7 +41,7 @@ for p in predictions:
     )
 
 print("\nper-team table (first division shown):")
-csv_text = simulation_to_csv(result, schedule, ds.divisions)
+csv_text = simulation_to_csv(result, schedule, ds.divisions, predictions)
 for line in csv_text.splitlines()[:5]:
     print(f"  {line}")
 

@@ -24,7 +24,7 @@ from .backtest import (
     compare_to_breakeven,
     run_strategy,
 )
-from .dataset import Dataset, GameRecord, load_dataset
+from .dataset import Dataset, GameTable, load_dataset
 from .metrics import (
     favorite_ats_summary,
     favorite_signs,
@@ -109,8 +109,8 @@ def cmd_summary(ds: Dataset, args: argparse.Namespace) -> int:
     for season in ds.seasons():
         lines.append(f"  season {season}: {len(ds.season_rows(season))}")
     if len(ds):
-        su_home = sum(1 for g in ds if g.home_margin > 0)
-        su_decided = sum(1 for g in ds if g.home_margin != 0)
+        margin = ds.table.home_margin
+        su_home, su_decided = int(np.count_nonzero(margin > 0)), int(np.count_nonzero(margin))
         rate = su_home / su_decided if su_decided else 0.0
         lines.append(
             f"home straight-up win rate: {rate:.3f} (reference 2002-2011: {ref['home_su_rate']:.2f})"
@@ -122,7 +122,7 @@ def cmd_summary(ds: Dataset, args: argparse.Namespace) -> int:
             f"+ {pick_em_count(ds)} pick-ems "
             f"(reference 2002-2011: {'/'.join(str(v) for v in ref['favorite_partition'])})"
         )
-    ld = [line_difference(g) for g in ds]
+    ld = line_difference(ds.table)
     if len(ld) >= 2:
         m = moments(ld)
         lines.append(
@@ -135,9 +135,9 @@ def cmd_summary(ds: Dataset, args: argparse.Namespace) -> int:
     return 0
 
 
-#: hist --metric name -> (per-game value, default bin width)
-_HIST_METRICS: dict[str, tuple[Callable[[GameRecord], float], float]] = {
-    "closing-line": (lambda g: g.line_close, 0.5),
+#: hist --metric name -> (value of every game, default bin width)
+_HIST_METRICS: dict[str, tuple[Callable[[GameTable], np.ndarray], float]] = {
+    "closing-line": (lambda table: table.line_close, 0.5),
     "ld": (line_difference, 1.0),
     "movement": (line_movement, 0.5),
 }
@@ -148,7 +148,7 @@ def cmd_hist(ds: Dataset, args: argparse.Namespace) -> int:
     value_of, default_width = _HIST_METRICS[metric]
     width = args.bin_width if args.bin_width is not None else default_width
     # origin at -width/2 puts bin centers on multiples of the width
-    hist = histogram([value_of(g) for g in ds], width, origin=-width / 2)
+    hist = histogram(value_of(ds.table).tolist(), width, origin=-width / 2)
     if args.format == "svg":
         _emit(histogram_svg(hist, title=metric), args, f"hist_{metric}.svg")
     else:
@@ -157,7 +157,7 @@ def cmd_hist(ds: Dataset, args: argparse.Namespace) -> int:
 
 
 def cmd_gof(ds: Dataset, args: argparse.Namespace) -> int:
-    values = [line_difference(g) for g in ds]
+    values = line_difference(ds.table)
     result = chi_square_gof(values, sigma=args.sigma, bin_width=args.bin_width, min_expected=args.min_expected)
     verdict = "rejected" if result.reject_at_05 else "not rejected"
     lines = [
@@ -175,8 +175,9 @@ def cmd_gof(ds: Dataset, args: argparse.Namespace) -> int:
 def cmd_simulate(ds: Dataset, args: argparse.Namespace) -> int:
     schedule = build_schedule(ds, args.season, WinModel(sigma=args.sigma))
     result = simulate(schedule, args.replications, args.seed, workers=args.workers)
-    correct, total = score_predictions(predict_division_winners(result, schedule, ds.divisions))
-    _emit(simulation_to_csv(result, schedule, ds.divisions), args, f"simulate_{args.season}.csv")
+    predictions = predict_division_winners(result, schedule, ds.divisions)
+    correct, total = score_predictions(predictions)
+    _emit(simulation_to_csv(result, schedule, ds.divisions, predictions), args, f"simulate_{args.season}.csv")
     print(f"division winners predicted: {correct}/{total}", file=sys.stderr)
     return 0
 

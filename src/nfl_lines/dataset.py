@@ -5,9 +5,10 @@ home team is favored by that many points; negative values favor the
 visitor; ``0`` is a pick-em with no favorite.
 
 Storage: a :class:`Dataset` holds its games once, as numpy columns
-(``Dataset.table``, a :class:`GameTable`), which the metrics and
-backtests compute on. ``Dataset.games`` reads them back as
-:class:`GameRecord` rows, the public row type, the first time it is asked.
+(``Dataset.table``, a :class:`GameTable`), which the metrics, backtests,
+season schedules and every CLI command compute on. ``Dataset.games`` (and
+iterating a Dataset) reads them back as :class:`GameRecord` rows, the
+public row type, the first time it is asked.
 
 Validation: each rule a single game must pass is defined once, in
 ``_RULES``. ``GameRecord`` raises the first rule a record fails, and
@@ -282,8 +283,9 @@ class GameTable:
 
     ``home``/``away`` index into ``teams`` (sorted codes), ``day`` is the
     date's ordinal, and ``line_open``/``line_close`` are the spreads as
-    parsed (a ``-0`` keeps its sign). ``open2``/``close2`` are the spreads
-    in integer half-points, so settlement is exact integer arithmetic.
+    parsed (a ``-0`` keeps its sign). ``line2`` gives a spread column in
+    integer half-points (``close2`` the closing one), so settlement is
+    exact integer arithmetic.
     """
 
     season: np.ndarray
@@ -333,12 +335,11 @@ class GameTable:
         """The "close" or "open" spread column, in half-points."""
         return (2 * (self.line_open if line == "open" else self.line_close)).astype(np.int64)
 
-    open2 = property(lambda self: self.line2("open"))
     close2 = property(lambda self: self.line2("close"))
 
     @property
-    def margin(self) -> np.ndarray:
-        """Home score minus away score."""
+    def home_margin(self) -> np.ndarray:
+        """Home score minus away score (signed)."""
         return self.home_score - self.away_score
 
 
@@ -622,10 +623,6 @@ def games_to_csv(games: Iterable[GameRecord]) -> str:
 
 def _read_text(path: str | Path) -> str:
     return Path(path).read_text(encoding="utf-8-sig")
-
-
-def load_games(path: str | Path) -> list[GameRecord]:
-    return parse_games(_read_text(path))
 
 
 def load_divisions(path: str | Path) -> DivisionMap:

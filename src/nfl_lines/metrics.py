@@ -2,7 +2,8 @@
 
 Margin of victory, line difference (the line's signed error), against-the-
 spread settlement, line movement, histograms, and the per-season home-record
-breakdown.
+breakdown. The per-game quantities use elementwise operators only, so each
+takes one GameRecord or a whole GameTable, one value per game.
 """
 
 from __future__ import annotations
@@ -41,28 +42,28 @@ _MIRROR = {
 }
 
 
-def mov(game: GameRecord) -> int:
+def mov(game: GameRecord | GameTable) -> int | np.ndarray:
     """Margin of victory: winner score minus loser score (0 for a tie)."""
-    return abs(game.home_score - game.away_score)
+    return abs(game.home_margin)
 
 
-def line_difference(game: GameRecord) -> float:
+def line_difference(game: GameRecord | GameTable) -> float | np.ndarray:
     """Signed line error: favorite margin minus spread magnitude.
 
     Positive means the favorite was undervalued (or the underdog
     overvalued). On a pick-em the home team is taken as the favorite
     operand with spread 0, so the value is the home margin.
     """
-    d = (game.home_score - game.away_score) - game.line_close
-    return d if game.line_close >= 0 else -d
+    # the home frame's error, negated where the visitor is favored
+    return (game.home_score - game.away_score - game.line_close) * (1 - 2 * (game.line_close < 0))
 
 
-def line_movement(game: GameRecord) -> float:
+def line_movement(game: GameRecord | GameTable) -> float | np.ndarray:
     """Closing line minus opening line, in the signed home-positive frame."""
     return game.line_close - game.line_open
 
 
-def movement_magnitude(game: GameRecord) -> float:
+def movement_magnitude(game: GameRecord | GameTable) -> float | np.ndarray:
     """Absolute size of the open-to-close move.
 
     When the favorite flips, this equals the full swing through zero
@@ -108,7 +109,7 @@ def favorite_ats_summary(dataset: Dataset) -> FavoriteAtsSummary:
     table = dataset.table
     favored = table.close2 != 0
     ld = favorite_signs(table, "close")
-    won = np.sign(table.close2[favored]) * table.margin[favored] > 0
+    won = np.sign(table.close2[favored]) * table.home_margin[favored] > 0
     covers = _count(ld > 0)
     pushes = _count(ld == 0)
     wins_no_cover = _count((ld < 0) & won)
@@ -121,7 +122,7 @@ def ats_signs(table: GameTable, line: str = "close") -> np.ndarray:
     +1 where the home side covers, 0 on a push, -1 where it does not: the
     array form of ``ats_outcome(game, GameSide.HOME)``.
     """
-    return np.sign(2 * table.margin - table.line2(line))
+    return np.sign(2 * table.home_margin - table.line2(line))
 
 
 def favorite_signs(table: GameTable, line: str = "close") -> np.ndarray:
@@ -272,7 +273,7 @@ def movement_fraction_by_week(dataset: Dataset, threshold: float) -> WeeklyMovem
     weeks, week = np.unique(table.week, return_inverse=True)
     week = week.reshape(-1)
     totals = np.bincount(week, minlength=len(weeks)).tolist()
-    moved = np.bincount(week[_movement(table) >= threshold], minlength=len(weeks)).tolist()
+    moved = np.bincount(week[movement_magnitude(table) >= threshold], minlength=len(weeks)).tolist()
     by_week = {w: m / n for w, m, n in zip(weeks.tolist(), moved, totals)}
     fractions = list(by_week.values())
     mean = sum(fractions) / len(fractions) if fractions else 0.0
@@ -293,14 +294,10 @@ def movement_cumulative_counts(
 
     Defaults to the half-point grid from 0 up to the largest move seen.
     """
-    magnitudes = _movement(dataset.table)
+    magnitudes = movement_magnitude(dataset.table)
     if thresholds is None:
         top = float(magnitudes.max()) if magnitudes.size else 0.0
         steps = int(math.ceil(top / 0.5)) + 1
         thresholds = [0.5 * k for k in range(steps)]
     return {t: _count(magnitudes <= t) for t in thresholds}
 
-
-def _movement(table: GameTable) -> np.ndarray:
-    """``movement_magnitude`` of every game, in points (exact: half-points halved)."""
-    return np.abs(table.close2 - table.open2) * 0.5

@@ -73,7 +73,7 @@ def empirical_win_rate(dataset: Dataset, spread: float, tolerance: float = 0.0) 
     side = np.sign(table.close2)  # +1 home favorite, -1 away favorite, 0 pick-em
     # "not beyond", so that a nan spread or tolerance keeps the game, as a scalar test would
     near = (side != 0) & ~(np.abs(np.abs(table.close2) * 0.5 - spread) > tolerance)
-    margin = (side * table.margin)[near]
+    margin = (side * table.home_margin)[near]
     wins = int(np.count_nonzero(margin > 0))
     ties = int(np.count_nonzero(margin == 0))
     n = len(margin)

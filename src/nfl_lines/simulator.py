@@ -4,19 +4,21 @@ Randomness is drawn from Philox streams keyed on (seed, replication index),
 with the draw position within a stream fixed by the game index. One Philox
 generator is re-keyed to each replication's stream in turn, in one thread,
 so results are bit-identical for a given seed whatever ``workers`` says.
+
+A season's schedule keeps its games as rows of the dataset's GameTable:
+actual wins and head-to-head tie-breaks are one tally over those rows.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import REGULAR_SEASON_MAX_WEEK, Dataset, DivisionMap, GameRecord, UnknownTeamError
+from .dataset import REGULAR_SEASON_MAX_WEEK, Dataset, DivisionMap, GameTable, UnknownTeamError
 from .prob_model import WinModel, win_probability
 
 GAMES_PER_TEAM = 16
@@ -48,14 +50,15 @@ class SeasonSchedule:
     """One season's games with model win probabilities and actual win tallies.
 
     ``actual_wins`` credits 0.5 to each side of a straight-up tie; reports
-    floor the value. The underlying records are kept for head-to-head
-    tie-breaking.
+    floor the value. ``games`` holds the season's regular-season rows of
+    the dataset's GameTable, ``entries[i]`` being row ``i``; head-to-head
+    tie-breaks tally them.
     """
 
     season: int
     entries: tuple[ScheduleEntry, ...]
     actual_wins: Mapping[str, float]
-    games: tuple[GameRecord, ...] = ()
+    games: GameTable = field(default=GameTable.of_records(()), compare=False)
 
     @property
     def teams(self) -> tuple[str, ...]:
@@ -70,35 +73,34 @@ def build_schedule(dataset: Dataset, season: int, model: WinModel) -> SeasonSche
     home frame (a pick-em gives 0.5). Teams with a game count other than
     16 trigger an IncompleteScheduleWarning, not a failure.
     """
-    rows = dataset.season_rows(season)
-    rows = rows[dataset.table.week[rows] <= REGULAR_SEASON_MAX_WEEK]
-    if len(rows) == 0:
+    table = dataset.table
+    games = table.take((table.season == season) & (table.week <= REGULAR_SEASON_MAX_WEEK))
+    if not len(games):
         raise MissingSeasonError(season)
-    games = tuple(dataset.games[i] for i in rows.tolist())
-    entries = []
-    wins: dict[str, float] = defaultdict(float)
-    counts: dict[str, int] = defaultdict(int)
-    for i, g in enumerate(games):
-        entries.append(ScheduleEntry(i, g.home, g.away, win_probability(model, g.line_close)))
-        counts[g.home] += 1
-        counts[g.away] += 1
-        _credit_result(wins, g)
-    short = sorted(t for t, c in counts.items() if c != GAMES_PER_TEAM)
+    teams = games.teams
+    rows = zip(games.home.tolist(), games.away.tolist(), games.line_close.tolist())
+    entries = tuple(
+        ScheduleEntry(i, teams[home], teams[away], win_probability(model, line))
+        for i, (home, away, line) in enumerate(rows)
+    )
+    counts = np.bincount(np.append(games.home, games.away), minlength=len(teams))
+    short = [teams[i] for i in np.flatnonzero((counts > 0) & (counts != GAMES_PER_TEAM)).tolist()]
     if short:
         warnings.warn(
             f"season {season}: teams with a schedule other than {GAMES_PER_TEAM} games: {short}",
             IncompleteScheduleWarning,
             stacklevel=2,
         )
-    actual = {t: wins.get(t, 0.0) for t in sorted(counts)}
-    return SeasonSchedule(season, tuple(entries), actual, games)
+    wins = _wins(games).tolist()
+    actual = {teams[i]: wins[i] for i in np.flatnonzero(counts).tolist()}
+    return SeasonSchedule(season, entries, actual, games)
 
 
-def _credit_result(tally: dict[str, float], g: GameRecord) -> None:
-    """Add one straight-up result to ``tally``: a win, or half each for a tie."""
-    home_share = 1.0 if g.home_margin > 0 else 0.0 if g.home_margin < 0 else 0.5
-    tally[g.home] += home_share
-    tally[g.away] += 1.0 - home_share
+def _wins(games: GameTable) -> np.ndarray:
+    """Straight-up wins of each of ``games.teams``: one a win, half each a tie."""
+    home_share = (np.sign(games.home_margin) + 1) * 0.5
+    n = len(games.teams)
+    return np.bincount(games.home, home_share, n) + np.bincount(games.away, 1.0 - home_share, n)
 
 
 @dataclass(frozen=True)
@@ -216,14 +218,11 @@ def _actual_division_winner(teams: Sequence[str], schedule: SeasonSchedule) -> t
     if len(leaders) == 1:
         return leaders[0], False
     # head-to-head among the leaders, half a win each for a tie game
-    h2h = {t: 0.0 for t in leaders}
-    group = set(leaders)
-    for g in schedule.games:
-        if g.home in group and g.away in group:
-            _credit_result(h2h, g)
-    top = max(h2h.values())
-    winner = min(t for t in leaders if h2h[t] == top)
-    return winner, True
+    games = schedule.games
+    group = np.array([t in leaders for t in games.teams], dtype=bool)
+    h2h = dict(zip(games.teams, _wins(games.take(group[games.home] & group[games.away])).tolist()))
+    top = max(h2h.get(t, 0.0) for t in leaders)
+    return min(t for t in leaders if h2h.get(t, 0.0) == top), True
 
 
 def score_predictions(predictions: Sequence[DivisionPrediction]) -> tuple[int, int]:
@@ -235,14 +234,15 @@ def simulation_to_csv(
     result: SimulationResult,
     schedule: SeasonSchedule,
     divisions: DivisionMap,
+    predictions: Sequence[DivisionPrediction],
 ) -> str:
     """Serialize a simulation as one row per team, grouped by division.
 
     Columns: team, conference, division, predicted_wins, mean_wins,
     actual_wins (floored for reporting), outcome. The outcome column
-    marks the actual division winner.
+    marks the actual division winner, as ``predictions`` (from
+    ``predict_division_winners``) name it.
     """
-    predictions = predict_division_winners(result, schedule, divisions)
     winners = {(p.conference, p.division): p.actual_winner for p in predictions}
     rows = []
     for team in result.teams:

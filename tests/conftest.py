@@ -33,6 +33,18 @@ def regular_dataset(fixture_dataset):
     return fixture_dataset.filter(regular_season_only=True)
 
 
+@pytest.fixture
+def no_records(monkeypatch):
+    """Make building any GameRecord, checked or not, raise."""
+    import nfl_lines.dataset
+
+    def no_record(*args):
+        raise AssertionError("a GameRecord was built")
+
+    monkeypatch.setattr(nfl_lines.dataset, "_checked_record", no_record)
+    monkeypatch.setattr(GameRecord, "__post_init__", no_record)
+
+
 def make_game(
     season=2002,
     week=1,

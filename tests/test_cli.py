@@ -322,3 +322,14 @@ def test_backtest_mirror_check_can_fail(capsys, monkeypatch):
     code, out, _ = run(capsys, "backtest", *DATA_ARGS, "--strategy", "home-underdog")
     assert code == 0
     assert "favorite/underdog mirror check: FAILED" in out
+
+
+HIST_CSV = [["hist", "--metric", metric, "--format", "csv"] for metric in ("closing-line", "ld", "movement")]
+
+
+@pytest.mark.parametrize("argv", [*GOLDEN_COMMANDS.values(), *HIST_CSV], ids=" ".join)
+def test_commands_build_no_records(argv, capsys, no_records):
+    """Every command computes on the column table: no GameRecord is built."""
+    code, out, _ = run(capsys, *argv, *GOLDEN_DATA_ARGS)
+    assert code == 0
+    assert out

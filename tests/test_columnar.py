@@ -2,13 +2,16 @@
 
 The ``oracle_*`` functions below are the per-record implementations of
 ``Dataset.filter``, the home-record table, the favorite ATS partition,
-the movement summaries, the empirical win rate and ``run_strategy`` as
-they stood before the games moved into numpy columns; a season filter is
-also the oracle for the season index behind ``build_schedule``. Every public
+the movement summaries, the empirical win rate, ``run_strategy``, and a
+season schedule's actual wins and head-to-head tie-break as they stood
+before the games moved into numpy columns; a season filter is also the
+oracle for the season index and for a schedule's games. Every public
 result must equal theirs: same values, same order, every float bit for
-bit, and only built-in types inside.
+bit, and only built-in types inside. The per-game quantities must give
+the same value on a GameRecord as on its row of the GameTable.
 """
 
+import itertools
 import math
 import sys
 import warnings
@@ -41,13 +44,21 @@ from nfl_lines.metrics import (
     favorite_ats_summary,
     home_record_table,
     line_difference,
+    line_movement,
+    mov,
     movement_cumulative_counts,
     movement_fraction_by_week,
     movement_magnitude,
     pick_em_count,
 )
 from nfl_lines.prob_model import EmpiricalWinRate, NoGamesAtSpreadError, WinModel, empirical_win_rate
-from nfl_lines.simulator import IncompleteScheduleWarning, build_schedule
+from nfl_lines.simulator import (
+    IncompleteScheduleWarning,
+    _actual_division_winner,
+    build_schedule,
+    predict_division_winners,
+    simulate,
+)
 
 from conftest import DIVISIONS, FIXTURE_GAMES, REPO, TEAM_CODES, make_dataset, make_game
 
@@ -221,6 +232,34 @@ def oracle_ledger_csv(bets):
     return "\n".join(lines) + "\n"
 
 
+def oracle_credit_result(tally, g):
+    """Add one straight-up result to ``tally``: a win, or half each for a tie."""
+    home_share = 1.0 if g.home_margin > 0 else 0.0 if g.home_margin < 0 else 0.5
+    tally[g.home] += home_share
+    tally[g.away] += 1.0 - home_share
+
+
+def oracle_actual_wins(games):
+    wins = defaultdict(float)
+    for g in games:
+        oracle_credit_result(wins, g)
+    return {t: wins[t] for t in sorted(wins)}
+
+
+def oracle_actual_division_winner(teams, actual_wins, games):
+    best = max(actual_wins.get(t, 0.0) for t in teams)
+    leaders = sorted(t for t in teams if actual_wins.get(t, 0.0) == best)
+    if len(leaders) == 1:
+        return leaders[0], False
+    h2h = {t: 0.0 for t in leaders}
+    group = set(leaders)
+    for g in games:
+        if g.home in group and g.away in group:
+            oracle_credit_result(h2h, g)
+    top = max(h2h.values())
+    return min(t for t in leaders if h2h[t] == top), True
+
+
 # -- comparison helpers ---------------------------------------------------------
 
 _LEAF_TYPES = (bool, int, float, str, Date, type(None))
@@ -334,11 +373,36 @@ def check_filters(dataset):
     for season in seasons:
         in_season = tuple(dataset.games[i] for i in dataset.season_rows(season))
         assert in_season == oracle_filter(dataset, seasons=season)
-        regular = oracle_filter(dataset, seasons=season, regular_season_only=True)
-        if regular:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IncompleteScheduleWarning)
-                assert build_schedule(dataset, season, WinModel()).games == regular
+
+
+def check_schedules(dataset):
+    """Each season's games, actual wins and head-to-head tie-breaks: every
+    division, all teams at once, and every pair of teams level on wins."""
+    for season in dataset.seasons():
+        games = oracle_filter(dataset, seasons=season, regular_season_only=True)
+        if not games:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncompleteScheduleWarning)
+            schedule = build_schedule(dataset, season, WinModel())
+        assert schedule.games.records() == games
+        actual = oracle_actual_wins(games)
+        assert_same(schedule.actual_wins, actual)
+        groups = [[t for t in teams if t in actual] for _, _, teams in dataset.divisions.cells()]
+        groups.append(list(actual))
+        groups += [list(pair) for pair in itertools.combinations(actual, 2) if actual[pair[0]] == actual[pair[1]]]
+        for teams in filter(None, groups):
+            assert _actual_division_winner(teams, schedule) == oracle_actual_division_winner(teams, actual, games)
+
+
+#: Every per-game quantity, which takes a GameRecord or a GameTable.
+PER_GAME = (mov, line_difference, line_movement, movement_magnitude)
+
+
+def check_per_game(dataset):
+    """A record and its table row give the same value, bit for bit (the sign of a zero too)."""
+    for quantity in PER_GAME:
+        assert_same(quantity(dataset.table).tolist(), [quantity(g) for g in dataset.games])
 
 
 # -- the fixture and the benchmark's synthetic history ---------------------------
@@ -352,6 +416,8 @@ def fixture_all():
 def test_fixture_matches_record_loops(fixture_all):
     for dataset in (fixture_all, fixture_all.filter(regular_season_only=True)):
         check_filters(dataset)
+        check_schedules(dataset)
+        check_per_game(dataset)
         check_metrics(dataset)
         check_backtests(dataset)
 
@@ -372,6 +438,8 @@ def test_history_matches_record_loops(seed, tmp_path_factory):
     dataset = _history(seed, tmp_path_factory)
     assert len(dataset) == 26_200
     check_filters(dataset)
+    check_schedules(dataset)
+    check_per_game(dataset)
     regular = dataset.filter(regular_season_only=True)
     check_metrics(regular)
     # the benchmark's backtests: two built-ins on both lines and a user predicate
@@ -381,7 +449,7 @@ def test_history_matches_record_loops(seed, tmp_path_factory):
 
 # -- hypothesis: pick-ems, pushes, push-only seasons, ties, postseason weeks ------
 
-SPREADS = st.sampled_from([-7.0, -3.0, -2.5, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 3.0, 7.0, 10.0])
+SPREADS = st.sampled_from([-7.0, -3.0, -2.5, -1.0, -0.5, -0.0, 0.0, 0.0, 0.5, 1.0, 3.0, 7.0, 10.0])
 # a season whose only game is a push on both lines
 PUSH_ONLY_SEASON = make_game(
     season=2005, home="NE", away="NYJ", home_score=20, away_score=17, line_open=3.0, line_close=3.0
@@ -416,6 +484,8 @@ def datasets(draw):
 def test_random_datasets_match_record_loops(divisions, games):
     dataset = make_dataset(games, divisions)
     check_filters(dataset)
+    check_schedules(dataset)
+    check_per_game(dataset)
     check_metrics(dataset)
     check_backtests(dataset)
 
@@ -428,6 +498,39 @@ def test_push_only_season_is_absent_from_home_records_only(divisions):
     assert_same_ledger(ledger, oracle_run_strategy(dataset, BUILTIN_STRATEGIES["all-home"]))
 
 
+def test_per_game_values_keep_the_sign_of_zero(divisions):
+    games = [
+        make_game(week=1, line_open=0.0, line_close=-0.0, home_score=10, away_score=10),
+        make_game(week=2, line_open=-0.0, line_close=0.0, home_score=10, away_score=13),
+        make_game(week=3, line_open=-0.0, line_close=-0.0, home_score=13, away_score=10),
+        make_game(week=4, line_open=-3.0, line_close=-3.0, home_score=10, away_score=13),
+    ]
+    dataset = make_dataset(games, divisions)
+    check_per_game(dataset)
+    # a visiting favorite that exactly covers: the error is -0.0, as -(0.0) was
+    assert repr(line_difference(games[3])) == repr(line_difference(dataset.table).tolist()[3]) == "-0.0"
+    assert repr(line_difference(games[0])) == "0.0"
+
+
+def test_head_to_head_tie_gives_each_side_half_a_win(divisions):
+    # AFC East: NE, NYJ and MIA end level on 1.5 wins; among them, only NE-NYJ
+    # was played, a tie, so NE and NYJ lead MIA by half a win each
+    games = [
+        make_game(week=1, home="NE", away="NYJ", home_score=17, away_score=17),
+        make_game(week=2, home="NE", away="BUF", home_score=20, away_score=10),
+        make_game(week=3, home="NYJ", away="BUF", home_score=20, away_score=10),
+        make_game(week=4, home="MIA", away="BUF", home_score=20, away_score=10),
+        make_game(week=5, home="MIA", away="BUF", home_score=10, away_score=10),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteScheduleWarning)
+        schedule = build_schedule(make_dataset(games, divisions), 2002, WinModel())
+    assert schedule.actual_wins == {"BUF": 0.5, "MIA": 1.5, "NE": 1.5, "NYJ": 1.5}
+    (prediction,) = predict_division_winners(simulate(schedule, 1, seed=0), schedule, divisions)
+    assert (prediction.actual_winner, prediction.actual_tie) == ("NE", True)
+    assert oracle_actual_division_winner(["BUF", "MIA", "NE", "NYJ"], schedule.actual_wins, games) == ("NE", True)
+
+
 def test_records_equal_the_validated_constructor(fixture_all):
     # records are built once without __post_init__; they must equal validated ones
     rebuilt = tuple(GameRecord(*(getattr(g, f.name) for f in fields(GameRecord))) for g in fixture_all)
@@ -435,14 +538,7 @@ def test_records_equal_the_validated_constructor(fixture_all):
     assert Dataset(rebuilt, fixture_all.divisions).table.close2.tolist() == fixture_all.table.close2.tolist()
 
 
-def test_filter_and_table_metrics_build_no_records(monkeypatch):
-    import nfl_lines.dataset
-
-    def no_record(*args):
-        raise AssertionError("a GameRecord was built")
-
-    monkeypatch.setattr(nfl_lines.dataset, "_checked_record", no_record)
-    monkeypatch.setattr(GameRecord, "__post_init__", no_record)
+def test_filter_and_table_metrics_build_no_records(no_records):
     dataset = load_dataset(FIXTURE_GAMES, DIVISIONS).filter(seasons=2003, regular_season_only=True)
     home_record_table(dataset)
     favorite_ats_summary(dataset)
@@ -450,6 +546,8 @@ def test_filter_and_table_metrics_build_no_records(monkeypatch):
     movement_cumulative_counts(dataset)
     pick_em_count(dataset)
     empirical_win_rate(dataset, 3.0)
+    for quantity in PER_GAME:
+        quantity(dataset.table)
     assert len(dataset) == 256
 
 

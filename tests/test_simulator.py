@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfl_lines.dataset import UnknownTeamError
+from nfl_lines.dataset import GameTable, UnknownTeamError
 from nfl_lines.prob_model import WinModel, expected_wins, poisson_binomial
 from nfl_lines.simulator import (
     SIM_BLOCK,
@@ -254,7 +254,7 @@ def test_actual_tie_breaks_head_to_head(divisions):
     result = _result(teams, {"BUF": 6, "MIA": 8, "NE": 10, "NYJ": 9})
     h2h = make_game(week=5, home="NYJ", away="NE", home_score=24, away_score=10, line_close=-3.0)
     schedule = SeasonSchedule(
-        2002, (), {"NE": 10.0, "NYJ": 10.0, "BUF": 6.0, "MIA": 8.0}, games=(h2h,)
+        2002, (), {"NE": 10.0, "NYJ": 10.0, "BUF": 6.0, "MIA": 8.0}, games=GameTable.of_records((h2h,))
     )
     p = predict_division_winners(result, schedule, divisions)[0]
     assert p.actual_winner == "NYJ"  # beat NE head to head
@@ -290,11 +290,13 @@ def test_full_fixture_prediction_runs(regular_dataset):
 def test_simulation_csv_shape(regular_dataset):
     schedule = build_schedule(regular_dataset, 2002, MODEL)
     result = simulate(schedule, 100, seed=2)
-    text = simulation_to_csv(result, schedule, regular_dataset.divisions)
+    predictions = predict_division_winners(result, schedule, regular_dataset.divisions)
+    text = simulation_to_csv(result, schedule, regular_dataset.divisions, predictions)
     lines = text.strip().splitlines()
     assert lines[0] == "team,conference,division,predicted_wins,mean_wins,actual_wins,outcome"
     assert len(lines) == 33
     assert sum(1 for line in lines if line.endswith("Division Winner")) == 8
     # deterministic for the same inputs
-    again = simulation_to_csv(simulate(schedule, 100, seed=2), schedule, regular_dataset.divisions)
-    assert text == again
+    again = simulate(schedule, 100, seed=2)
+    again_predictions = predict_division_winners(again, schedule, regular_dataset.divisions)
+    assert text == simulation_to_csv(again, schedule, regular_dataset.divisions, again_predictions)
