@@ -27,7 +27,7 @@ ds = load_dataset(DATA / "fixtures" / "games.csv", DATA / "divisions.csv")
 ds = ds.filter(regular_season_only=True)
 
 # how wrong is the closing line, and is the error Gaussian?
-ld = [line_difference(g) for g in ds]
+ld = line_difference(ds.table)
 m = moments(ld)
 print(f"line error over {m.n} games: mean {m.mean:+.3f}, std {m.std_dev:.3f}")
 gof = chi_square_gof(ld, sigma=13.588)

@@ -7,13 +7,13 @@ refund the stake and are excluded from win-ratio denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, GameRecord, GameSide, GameTable
-from .metrics import AtsOutcome, ats_outcome, ats_signs
+from .dataset import Dataset, GameSide, GameTable
+from .metrics import AtsOutcome, UnresolvableSideError, ats_signs
 from .stats import check_positive
 
 DEFAULT_STAKE = 110.0
@@ -30,36 +30,32 @@ class NoDecidedBetsError(ValueError):
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named rule mapping a game to a bet side, or None to pass.
+    """Bet ``side`` on every game that ``predicate`` accepts.
 
-    A built-in also carries ``rule``, ``(accepts, side)``: it bets ``side``
-    wherever ``accepts(spread)`` holds, and ``accepts`` takes the chosen
-    spread as a float or as a whole column. ``run_strategy`` applies rules
-    to the column; any other strategy has its selector called per game.
+    ``predicate`` is called once, with the whole :class:`GameTable`, and
+    returns one truth value per game, or one value for every game. It must
+    combine conditions elementwise, with ``&``, ``|`` and ``~`` rather than
+    ``and``, ``or`` and ``not``. ``line_close`` holds the spread the
+    backtest runs on; ``home``/``away`` are team indices, and ``day``
+    stands in for ``date``. A strategy bets the same side in every game.
     """
 
     name: str
-    selector: Callable[[GameRecord], GameSide | None]
-    rule: tuple[Callable, GameSide] | None = field(default=None, compare=False, repr=False)
-
-    def __call__(self, game: GameRecord) -> GameSide | None:
-        return self.selector(game)
+    predicate: Callable[[GameTable], np.ndarray | bool]
+    side: GameSide
 
 
-def when(name: str, predicate: Callable[[GameRecord], bool], side: GameSide) -> Strategy:
-    """Composable form: bet ``side`` on every game the predicate accepts."""
-    return Strategy(name, lambda g: side if predicate(g) else None)
+def when(name: str, predicate: Callable[[GameTable], np.ndarray | bool], side: GameSide) -> Strategy:
+    """The strategy that bets ``side`` on every game the predicate accepts,
+    e.g. ``when("big-home-dogs", lambda g: (g.line_close <= -7) & (g.week > 8), GameSide.HOME)``."""
+    return Strategy(name, predicate, side)
 
 
-def _on_spread(name: str, side: GameSide, accepts: Callable) -> Strategy:
-    return Strategy(name, lambda g: side if accepts(g.line_close) else None, (accepts, side))
-
-
-HOME_UNDERDOG = _on_spread("home-underdog", GameSide.HOME, lambda line: line < 0)
-HOME_FAVORITE = _on_spread("home-favorite", GameSide.HOME, lambda line: line > 0)
-ALL_HOME = _on_spread("all-home", GameSide.HOME, lambda line: np.ones(np.shape(line), dtype=bool))
-ALL_FAVORITES = _on_spread("all-favorites", GameSide.FAVORITE, lambda line: line != 0)
-ALL_UNDERDOGS = _on_spread("all-underdogs", GameSide.UNDERDOG, lambda line: line != 0)
+HOME_UNDERDOG = when("home-underdog", lambda g: g.line_close < 0, GameSide.HOME)
+HOME_FAVORITE = when("home-favorite", lambda g: g.line_close > 0, GameSide.HOME)
+ALL_HOME = when("all-home", lambda g: True, GameSide.HOME)
+ALL_FAVORITES = when("all-favorites", lambda g: g.line_close != 0, GameSide.FAVORITE)
+ALL_UNDERDOGS = when("all-underdogs", lambda g: g.line_close != 0, GameSide.UNDERDOG)
 
 BUILTIN_STRATEGIES: dict[str, Strategy] = {
     s.name: s for s in (HOME_UNDERDOG, HOME_FAVORITE, ALL_HOME, ALL_FAVORITES, ALL_UNDERDOGS)
@@ -124,39 +120,23 @@ def run_strategy(
     win_payout: float = DEFAULT_WIN_PAYOUT,
     line: str = "close",
 ) -> StrategyLedger:
-    """Place one bet per accepted game and settle against the spread.
+    """Bet ``strategy.side`` on every game its predicate accepts, and settle
+    against the spread.
 
     ``line`` chooses which spread both selection and settlement use:
-    "close" (default) or "open".
+    "close" (default) or "open". The predicate is called once, on the whole
+    table; a result that is neither one value nor one per game raises
+    ValueError.
     """
     check_positive("stake and payout", stake, win_payout, error=NonPositiveStakeError)
-    if line not in ("close", "open"):
-        raise ValueError(f"line must be 'close' or 'open', got {line!r}")
-    if strategy.rule is None:
-        rows, sides = _select(_priced(dataset, line), strategy)
-    else:
-        accepts, side = strategy.rule
-        rows = np.flatnonzero(accepts(dataset.table.line2(line) * 0.5))
-        sides = [side] * len(rows)
-    return _settle(dataset.table, rows, tuple(sides), line, stake, win_payout)
-
-
-def _priced(dataset: Dataset, line: str) -> tuple[GameRecord, ...]:
-    """The games as a strategy sees them: on the open line, line_close holds the opening spread."""
-    if line == "close":
-        return dataset.games
-    return replace(dataset.table, line_close=dataset.table.line_open).records()
-
-
-def _select(games: Sequence[GameRecord], strategy: Strategy) -> tuple[np.ndarray, list]:
-    """Rows and sides a per-game selector bets: the one path for strategies without a rule."""
-    rows, sides = [], []
-    for i, game in enumerate(games):
-        side = strategy(game)
-        if side is not None:
-            rows.append(i)
-            sides.append(side)
-    return np.array(rows, dtype=np.int64), sides
+    priced = dataset.table.on_line(line)
+    accepted = np.asarray(strategy.predicate(priced))
+    if accepted.shape not in ((), (len(priced),)):
+        raise ValueError(
+            f"strategy {strategy.name!r}: predicate gave shape {accepted.shape}, not one value per game ({len(priced)})"
+        )
+    rows = np.flatnonzero(np.broadcast_to(accepted, len(priced)))
+    return _settle(dataset.table, priced, rows, strategy.side, stake, win_payout)
 
 
 #: a bet's outcome, indexed by its ATS sign: 0 push, 1 cover, -1 no cover
@@ -164,10 +144,11 @@ _OUTCOMES = (AtsOutcome.PUSH, AtsOutcome.COVER, AtsOutcome.NO_COVER)
 
 
 def _settle(
-    table: GameTable, rows: np.ndarray, sides: tuple, line: str, stake: float, win_payout: float
+    table: GameTable, priced: GameTable, rows: np.ndarray, side: GameSide, stake: float, win_payout: float
 ) -> StrategyLedger:
-    """Settle a bet on ``sides[k]`` in game ``rows[k]``, all at once."""
-    result = _bet_signs(table, rows, sides, line)
+    """Settle a bet on ``side`` in each game of ``rows``, all at once, on the
+    spread in ``priced``; ``table`` holds the games as the dataset has them."""
+    result = _bet_signs(priced, rows, side)
     signs = result.tolist()
     # every bet's outcome and cashflow is one of three shared objects
     cash = tuple(map((0.0, win_payout, -stake).__getitem__, signs))
@@ -184,25 +165,22 @@ def _settle(
     }
     return StrategyLedger(
         **vars(_summary(wins, losses, len(signs) - wins - losses, cash)),
-        bets=table.take(rows), sides=sides, outcomes=tuple(map(_OUTCOMES.__getitem__, signs)), cashflows=cash,
-        per_season=per_season,
+        bets=table.take(rows), sides=(side,) * len(signs), outcomes=tuple(map(_OUTCOMES.__getitem__, signs)),
+        cashflows=cash, per_season=per_season,
     )
 
 
-def _bet_signs(table: GameTable, rows: np.ndarray, sides: tuple, line: str) -> np.ndarray:
+def _bet_signs(priced: GameTable, rows: np.ndarray, side: GameSide) -> np.ndarray:
     """Each bet's ATS sign: +1 cover, 0 push, -1 no cover."""
-    # the sign that turns the home side's result into the bet side's; away,
-    # and any other side, mirrors the home side, as in ats_outcome
-    spread = np.sign(table.line2(line)[rows]).astype(np.int8)
-    flip = np.full(len(rows), -1, dtype=np.int8)
-    for side, sign in ((GameSide.HOME, 1), (GameSide.FAVORITE, spread), (GameSide.UNDERDOG, -spread)):
-        np.copyto(flip, sign, where=np.fromiter((s is side for s in sides), dtype=bool, count=len(sides)))
-    unresolved = np.flatnonzero(flip == 0)  # a favorite or underdog bet on a pick-em on this line
-    if unresolved.size:
-        k = int(unresolved[0])
-        game = table.take(rows[k : k + 1]).records()[0]
-        ats_outcome(replace(game, line_close=0.0), sides[k])  # a pick-em here: raises UnresolvableSideError
-    return flip * ats_signs(table, line)[rows]
+    # the sign that turns the home side's result into the bet side's
+    spread = np.sign(priced.close2[rows])
+    flip = {GameSide.HOME: 1, GameSide.AWAY: -1, GameSide.FAVORITE: spread, GameSide.UNDERDOG: -spread}[side]
+    if side in (GameSide.FAVORITE, GameSide.UNDERDOG) and not spread.all():
+        k = rows[np.flatnonzero(spread == 0)[0]]  # the first bet on a pick-em
+        key = (priced.season[k].item(), priced.week[k].item(),
+               priced.teams[priced.home[k]], priced.teams[priced.away[k]])
+        raise UnresolvableSideError(f"no favorite on pick-em game {key}")
+    return flip * ats_signs(priced)[rows]
 
 
 def yearly_cover_series(dataset: Dataset, strategy: Strategy, line: str = "close") -> dict[int, float]:

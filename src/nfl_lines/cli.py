@@ -237,7 +237,7 @@ def _mirror_check(ds: Dataset, args: argparse.Namespace) -> bool | None:
     The underdog side is settled on its own, by the backtest, and the
     favorite side by the metrics.
     """
-    favorite = favorite_signs(ds.table, args.line)
+    favorite = favorite_signs(ds.table.on_line(args.line))
     if not favorite.size:
         return None
     underdog = run_strategy(ds, ALL_UNDERDOGS, line=args.line)

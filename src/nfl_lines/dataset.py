@@ -6,9 +6,13 @@ visitor; ``0`` is a pick-em with no favorite.
 
 Storage: a :class:`Dataset` holds its games once, as numpy columns
 (``Dataset.table``, a :class:`GameTable`), which the metrics, backtests,
-season schedules and every CLI command compute on. ``Dataset.games`` (and
-iterating a Dataset) reads them back as :class:`GameRecord` rows, the
-public row type, the first time it is asked.
+season schedules and every CLI command compute on; ``==`` compares those
+columns. ``Dataset.games`` (and iterating a Dataset) reads them back as
+:class:`GameRecord` rows, the public row type, the first time it is asked.
+
+Lines: ``line_close`` is the spread every computation reads.
+``GameTable.on_line("open")`` gives the games priced on the opening line
+instead, and it is the one place the two lines are chosen between.
 
 Validation: each rule a single game must pass is defined once, in
 ``_RULES``. ``GameRecord`` raises the first rule a record fails, and
@@ -24,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date as Date
 from enum import Enum
 from functools import cached_property
@@ -283,9 +287,9 @@ class GameTable:
 
     ``home``/``away`` index into ``teams`` (sorted codes), ``day`` is the
     date's ordinal, and ``line_open``/``line_close`` are the spreads as
-    parsed (a ``-0`` keeps its sign). ``line2`` gives a spread column in
-    integer half-points (``close2`` the closing one), so settlement is
-    exact integer arithmetic.
+    parsed (a ``-0`` keeps its sign). ``close2`` gives the closing spread
+    in integer half-points, so settlement is exact integer arithmetic, and
+    ``on_line`` prices the games on the opening line instead.
     """
 
     season: np.ndarray
@@ -331,11 +335,14 @@ class GameTable:
             self.away_score.tolist(), self.line_open.tolist(), self.line_close.tolist(),
         ))
 
-    def line2(self, line: str) -> np.ndarray:
-        """The "close" or "open" spread column, in half-points."""
-        return (2 * (self.line_open if line == "open" else self.line_close)).astype(np.int64)
+    def on_line(self, line: str) -> "GameTable":
+        """The games priced on the "close" or "open" line: ``line_close``
+        holds that spread. Every choice between the two lines is made here."""
+        if line not in ("close", "open"):
+            raise ValueError(f"line must be 'close' or 'open', got {line!r}")
+        return self if line == "close" else replace(self, line_close=self.line_open)
 
-    close2 = property(lambda self: self.line2("close"))
+    close2 = property(lambda self: (2 * self.line_close).astype(np.int64))
 
     @property
     def home_margin(self) -> np.ndarray:
@@ -375,7 +382,10 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (self.games, self.divisions, self.provenance) == (other.games, other.divisions, other.provenance)
+        return (
+            all(map(np.array_equal, _game_columns(self.table), _game_columns(other.table)))
+            and (self.divisions, self.provenance) == (other.divisions, other.provenance)
+        )
 
     def __len__(self) -> int:
         return len(self.table)
@@ -410,6 +420,14 @@ class Dataset:
         if regular_season_only:
             keep &= self.table.week <= REGULAR_SEASON_MAX_WEEK
         return Dataset._checked(self.table.take(keep), self.divisions, self.provenance)
+
+
+def _game_columns(table: GameTable) -> tuple[np.ndarray, ...]:
+    """The table's columns with team codes in place of indices: equal
+    exactly when the games' records are, whatever ``teams`` each indexes."""
+    team = np.array(table.teams, dtype=object)
+    return (table.season, table.week, table.day, team[table.home], team[table.away],
+            table.home_score, table.away_score, table.line_open, table.line_close)
 
 
 def _as_range(value: int | tuple[int, int] | None) -> tuple[int, int] | None:

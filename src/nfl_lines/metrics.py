@@ -108,7 +108,7 @@ def favorite_ats_summary(dataset: Dataset) -> FavoriteAtsSummary:
     """
     table = dataset.table
     favored = table.close2 != 0
-    ld = favorite_signs(table, "close")
+    ld = favorite_signs(table)
     won = np.sign(table.close2[favored]) * table.home_margin[favored] > 0
     covers = _count(ld > 0)
     pushes = _count(ld == 0)
@@ -116,23 +116,24 @@ def favorite_ats_summary(dataset: Dataset) -> FavoriteAtsSummary:
     return FavoriteAtsSummary(covers, wins_no_cover, len(ld) - covers - pushes - wins_no_cover, pushes)
 
 
-def ats_signs(table: GameTable, line: str = "close") -> np.ndarray:
-    """Home-side settlement of every game against the chosen spread.
+def ats_signs(table: GameTable) -> np.ndarray:
+    """Home-side settlement of every game against the closing spread.
 
     +1 where the home side covers, 0 on a push, -1 where it does not: the
-    array form of ``ats_outcome(game, GameSide.HOME)``.
+    array form of ``ats_outcome(game, GameSide.HOME)``. For the opening
+    line, pass ``table.on_line("open")``.
     """
-    return np.sign(2 * table.home_margin - table.line2(line))
+    return np.sign(2 * table.home_margin - table.close2)
 
 
-def favorite_signs(table: GameTable, line: str = "close") -> np.ndarray:
+def favorite_signs(table: GameTable) -> np.ndarray:
     """The favorite's settlement in each non-pick-em game, in game order.
 
-    +1 cover, 0 push, -1 no cover against the chosen spread: the array
+    +1 cover, 0 push, -1 no cover against the closing spread: the array
     form of ``ats_outcome(game, GameSide.FAVORITE)``.
     """
-    line2 = table.line2(line)
-    return (np.sign(line2) * ats_signs(table, line))[line2 != 0]
+    close2 = table.close2
+    return (np.sign(close2) * ats_signs(table))[close2 != 0]
 
 
 def _count(mask: np.ndarray) -> int:
@@ -196,7 +197,7 @@ def home_record_table(dataset: Dataset) -> HomeRecordTable:
     with pushes only has no row.
     """
     table = dataset.table
-    result = ats_signs(table, "close")
+    result = ats_signs(table)
     decided = result != 0
     # column 0 favorites, 1 underdogs, 2 pick-ems; outcome 0 win, 1 loss
     column = np.select([table.close2 > 0, table.close2 < 0], [0, 1], 2)[decided]

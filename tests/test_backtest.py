@@ -13,7 +13,6 @@ from nfl_lines.backtest import (
     HOME_UNDERDOG,
     NoDecidedBetsError,
     NonPositiveStakeError,
-    Strategy,
     break_even_ratio,
     compare_to_breakeven,
     run_strategy,
@@ -59,7 +58,7 @@ def test_run_strategy_hand_accounting(divisions):
 
 
 def test_run_strategy_empty_selection(divisions):
-    never = Strategy("never", lambda g: None)
+    never = when("never", lambda g: False, GameSide.HOME)
     ledger = run_strategy(make_dataset([make_game()], divisions), never)
     assert (ledger.wins, ledger.losses, ledger.pushes) == (0, 0, 0)
     assert ledger.profit == 0.0
@@ -111,6 +110,13 @@ def test_composable_predicate_form(regular_dataset):
     ledger = run_strategy(regular_dataset, big_home_dog)
     assert len(ledger.bets) > 0
     assert (ledger.bets.line_close <= -7.0).all()
+
+
+def test_predicate_of_the_wrong_shape_is_rejected(regular_dataset):
+    # a filtered column is shorter than the table: betting its mask would pick the wrong games
+    filtered = when("filtered", lambda g: g.line_close[g.line_close < 0] < 0, GameSide.HOME)
+    with pytest.raises(ValueError, match="strategy 'filtered': predicate gave shape"):
+        run_strategy(regular_dataset, filtered)
 
 
 def test_open_line_settlement(divisions):

@@ -318,7 +318,7 @@ def test_backtest_mirror_check_can_fail(capsys, monkeypatch):
 
     # the favorite's side settled wrongly: every result turned over
     settle = nfl_lines.cli.favorite_signs
-    monkeypatch.setattr(nfl_lines.cli, "favorite_signs", lambda table, line: -settle(table, line))
+    monkeypatch.setattr(nfl_lines.cli, "favorite_signs", lambda table: -settle(table))
     code, out, _ = run(capsys, "backtest", *DATA_ARGS, "--strategy", "home-underdog")
     assert code == 0
     assert "favorite/underdog mirror check: FAILED" in out
