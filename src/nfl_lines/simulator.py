@@ -1,9 +1,9 @@
 """Seeded Monte Carlo simulation of seasons from per-game win probabilities.
 
-Randomness is drawn from Philox streams keyed on (seed, replication index),
-with the draw position within a stream fixed by the game index. One Philox
-generator is re-keyed to each replication's stream in turn, in one thread,
-so results are bit-identical for a given seed whatever ``workers`` says.
+Stream layout 2: replication ``r`` of a season of G games reads draws
+``i*G`` to ``i*G+G-1`` of the Philox stream keyed on ``(seed, block)``, where
+``block, i = divmod(r, SIM_BLOCK)``. Results are bit-identical for a seed
+whatever ``workers`` says, and a run's replications prefix any longer run's.
 
 A season's schedule keeps its games as rows of the dataset's GameTable:
 actual wins and head-to-head tie-breaks are one tally over those rows.
@@ -23,8 +23,10 @@ from .prob_model import WinModel, win_probability
 
 GAMES_PER_TEAM = 16
 
-#: Replications drawn per uniform block; about 1 MB of draws for a season.
+#: Replications per Philox key, part of the stream layout; about 1 MB of draws for a season.
 SIM_BLOCK = 512
+#: Version of the mapping from (seed, replication, game) to a uniform draw.
+STREAM_LAYOUT = 2
 
 
 class MissingSeasonError(ValueError):
@@ -123,9 +125,11 @@ def simulate(
     """Simulate the season ``replications`` times and average the win counts.
 
     Each game resolves independently as a home win with its scheduled
-    probability, one uniform draw per (replication, game). Predicted wins
-    are the per-team means rounded half-up. ``seed`` must be in [0, 2**64).
-    ``workers`` is accepted for compatibility and has no effect.
+    probability, one uniform draw per (replication, game), laid out as the
+    module docstring says (``STREAM_LAYOUT``): one Philox key per block of
+    ``SIM_BLOCK`` replications. Predicted wins are the per-team means
+    rounded half-up. ``seed`` must be in [0, 2**64). ``workers`` is
+    accepted for compatibility and has no effect.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -138,28 +142,24 @@ def simulate(
     home_idx = np.array([index[e.home] for e in schedule.entries], dtype=np.intp)
     away_idx = np.array([index[e.away] for e in schedule.entries], dtype=np.intp)
     n_teams = len(teams)
-    # wins = home_win @ incidence (+1 home, -1 away) + away games, exact in float32
-    eye = np.eye(n_teams, dtype=np.float32)
+    # wins = home_win @ incidence (+1 home, -1 away) + away games
+    eye = np.eye(n_teams, dtype=np.int64)
     incidence = eye[home_idx] - eye[away_idx]
     away_games = np.bincount(away_idx, minlength=n_teams)
-    # one Philox, reset for each r to a new Philox(key=[seed64, r])'s state: same
-    # stream, no build; a uint64 key, as a list would pass seeds >= 2**63 through float64
-    bit_gen = np.random.Philox(key=np.array([seed64, 0], dtype=np.uint64))
-    fresh = bit_gen.state  # a copy: counter zero, buffer empty
-    stream = np.random.Generator(bit_gen)
     draws = np.empty((min(SIM_BLOCK, replications), len(probs)))
-    totals = np.zeros(n_teams, dtype=np.int64)
+    home_counts = np.zeros(len(probs), dtype=np.int64)  # home wins per game, over all replications
     samples = np.empty((replications, n_teams), dtype=np.int64) if keep_samples else None
-    for start in range(0, replications, SIM_BLOCK):
-        stop = min(start + SIM_BLOCK, replications)
-        for r in range(start, stop):
-            fresh["state"]["key"][1] = r
-            bit_gen.state = fresh
-            stream.random(out=draws[r - start])
-        wins = ((draws[: stop - start] < probs) @ incidence).astype(np.int64) + away_games
-        totals += wins.sum(axis=0)
-        if samples is not None:
-            samples[start:stop] = wins
+    for block, start in enumerate(range(0, replications, SIM_BLOCK)):
+        rows = min(SIM_BLOCK, replications - start)
+        # a uint64 key, as a list would pass seeds >= 2**63 through float64
+        key = np.array([seed64, block], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).random(out=draws[:rows])
+        home_win = draws[:rows] < probs
+        home_counts += np.count_nonzero(home_win, axis=0)
+        if samples is not None:  # float32 sums of +-1 are exact, and faster than bool @ float32
+            wins = home_win.astype(np.float32) @ incidence.astype(np.float32)
+            samples[start : start + rows] = wins.astype(np.int64) + away_games
+    totals = home_counts @ incidence + replications * away_games
     mean = totals / replications
     mean_wins = {t: float(mean[i]) for t, i in index.items()}
     predicted = {t: int(math.floor(mean[i] + 0.5)) for t, i in index.items()}
