@@ -148,7 +148,7 @@ def cmd_hist(ds: Dataset, args: argparse.Namespace) -> int:
     value_of, default_width = _HIST_METRICS[metric]
     width = args.bin_width if args.bin_width is not None else default_width
     # origin at -width/2 puts bin centers on multiples of the width
-    hist = histogram(value_of(ds.table).tolist(), width, origin=-width / 2)
+    hist = histogram(value_of(ds.table), width, origin=-width / 2)
     if args.format == "svg":
         _emit(histogram_svg(hist, title=metric), args, f"hist_{metric}.svg")
     else:

@@ -9,7 +9,6 @@ takes one GameRecord or a whole GameTable, one value per game.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -238,13 +237,14 @@ class Histogram:
 def histogram(values: Sequence[float], bin_width: float, origin: float = 0.0) -> Histogram:
     """Bin values at the given width; empty input gives an empty histogram."""
     check_positive("bin_width", bin_width)
-    counts: dict[int, int] = defaultdict(int)
-    for v in values:
-        # tolerance of one part in 1e9 so grid-aligned values land in the
-        # bin they are the left edge of despite float division error
-        q = (v - origin) / bin_width
-        counts[math.floor(q + 1e-9)] += 1
-    return Histogram(bin_width, origin, dict(counts), len(values))
+    # tolerance of one part in 1e9 so grid-aligned values land in the
+    # bin they are the left edge of despite float division error
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.floor((np.asarray(values, dtype=float) - origin) / bin_width + 1e-9)
+    if not np.isfinite(q).all():
+        raise ValueError(f"a value falls in no finite bin at bin_width {bin_width:g}")
+    bins, counts = np.unique(q, return_counts=True)
+    return Histogram(bin_width, origin, dict(zip(map(int, bins.tolist()), counts.tolist())), q.size)
 
 
 @dataclass(frozen=True)
@@ -278,11 +278,7 @@ def movement_fraction_by_week(dataset: Dataset, threshold: float) -> WeeklyMovem
     by_week = {w: m / n for w, m, n in zip(weeks.tolist(), moved, totals)}
     fractions = list(by_week.values())
     mean = sum(fractions) / len(fractions) if fractions else 0.0
-    if len(fractions) >= 2:
-        var = sum((f - mean) ** 2 for f in fractions) / (len(fractions) - 1)
-        std = math.sqrt(var)
-    else:
-        std = 0.0
+    std = math.sqrt(sum((f - mean) ** 2 for f in fractions) / (len(fractions) - 1)) if len(fractions) >= 2 else 0.0
     n_games = sum(totals)
     overall = sum(moved) / n_games if n_games else 0.0
     return WeeklyMovement(threshold, by_week, mean, std, overall)

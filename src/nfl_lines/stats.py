@@ -1,6 +1,6 @@
 """Statistical primitives: normal CDF, sample moments, one-proportion
-z-tests, and a chi-squared goodness-of-fit test against a zero-mean
-Gaussian."""
+z-tests, the upper chi-squared quantile, and a chi-squared goodness-of-fit
+test against a zero-mean Gaussian. Only ``math`` and numpy are used."""
 
 from __future__ import annotations
 
@@ -99,6 +99,53 @@ def proportion_z(wins: int, losses: int, p0: float) -> ZTestResult:
     return ZTestResult(p_hat, n, p0, z)
 
 
+def _upper_gamma(a: float, y: float) -> tuple[float, float]:
+    """Regularised upper incomplete gamma Q(a, y) and the Gamma(a) density at y > 0."""
+    density = math.exp((a - 1) * math.log(y) - y - math.lgamma(a))
+    if y < a + 1:
+        # series: P(a, y) = y density sum_n y**n / (a (a+1) ... (a+n))
+        term = total = 1.0 / a
+        while term > total * 1e-17:
+            a += 1  # the next denominator; a is not read again
+            term *= y / a
+            total += term
+        return 1.0 - y * density * total, density
+    # modified Lentz evaluation of Q's continued fraction
+    b, c, i = y + 1 - a, math.inf, 0
+    q = d = 1 / b
+    while abs(c * d - 1) >= 3e-16:
+        i += 1
+        an = -i * (i - a)
+        b += 2
+        d = 1 / (an * d + b)
+        c = b + an / c
+        q *= c * d
+    return y * density * q, density
+
+
+def chi2_isf(dof: int, alpha: float) -> float:
+    """Upper chi-squared quantile: the x with P(X > x) = alpha for X ~ chi2(dof).
+
+    Newton's method on log Q(dof/2, x/2) = log alpha from the Wilson-Hilferty
+    start, bisecting where a step would leave the bracket found so far.
+    """
+    if not (dof >= 1 and 0 < alpha < 1):
+        raise ValueError(f"need dof >= 1 and 0 < alpha < 1, got {dof}, {alpha}")
+    t = math.sqrt(-2.0 * math.log(min(alpha, 1 - alpha)))  # normal quantile: A&S 26.2.23
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    x = dof * max(1 - 2 / (9 * dof) + math.copysign(z, 0.5 - alpha) * math.sqrt(2 / (9 * dof)), 0.1) ** 3
+    lo, hi = 0.0, math.inf
+    for _ in range(200):
+        q, density = _upper_gamma(dof / 2, x / 2)
+        lo, hi = (x, hi) if q > alpha else (lo, x)
+        # log Q is near linear in the far tail; dQ/dx = -density/2
+        new = x + 2 * q * math.log(q / alpha) / density if density > 0 else math.nan
+        if abs(new - x) <= 1e-13 * x:
+            return new
+        x = new if lo < new < hi else 2 * x if hi == math.inf else (lo + hi) / 2
+    return x
+
+
 @dataclass(frozen=True)
 class GofResult:
     statistic: float
@@ -108,6 +155,22 @@ class GofResult:
     reject_at_05: bool
     observed: tuple[int, ...] = ()
     expected: tuple[float, ...] = ()
+
+
+def _fold_sparse_bins(observed: np.ndarray, expected: np.ndarray, min_expected: float) -> tuple[list, list]:
+    """Fold the first sparsest bin into a neighbour until no expected count is
+    below ``min_expected`` or one bin is left, overwriting both arrays."""
+    bins = len(expected)
+    while bins > 1 and expected[i := int(expected[:bins].argmin())] < min_expected:
+        # fold toward the nearer tail so sparse mass accumulates in the
+        # open-ended bins; an outermost bin folds inward instead
+        j = 1 if i == 0 else i - 1 if i == bins - 1 or i < bins / 2 else i + 1
+        expected[j] += expected[i]
+        observed[j] += observed[i]
+        expected[i : bins - 1] = expected[i + 1 : bins]
+        observed[i : bins - 1] = observed[i + 1 : bins]
+        bins -= 1
+    return observed[:bins].tolist(), expected[:bins].tolist()
 
 
 def chi_square_gof(
@@ -122,7 +185,8 @@ def chi_square_gof(
     open-ended tails; sparse bins are folded outward into their tail
     until every expected count reaches ``min_expected``. Degrees of
     freedom are bins - 1: the mean and sigma are fixed a priori, not
-    estimated from the binned sample.
+    estimated from the binned sample. The critical value is
+    ``chi2_isf(dof, 0.05)``.
     """
     arr = np.asarray(values, dtype=float)
     n = arr.size
@@ -139,41 +203,19 @@ def chi_square_gof(
     reach = max(float(np.abs(arr).max()), 6.0 * sigma) + bin_width
     k_max = np.ceil((reach - half) / bin_width)  # inf when the division overflows
     check_bins(bin_width, 2 * k_max + 3)
-    k_max = int(k_max)
-    edges = np.array(
-        [-half - k * bin_width for k in range(k_max, 0, -1)]
-        + [-half]
-        + [half + k * bin_width for k in range(k_max + 1)]
-    )
+    k = np.arange(int(k_max) + 1)
+    edges = np.concatenate((-half - k[::-1] * bin_width, half + k * bin_width))
 
     # bin i is [edges[i-1], edges[i]); bins 0 and len(edges) are the tails
     observed = np.bincount(np.searchsorted(edges, arr, side="right"), minlength=len(edges) + 1)
     cdf = np.array([std_normal_cdf(e / sigma) for e in edges])
     expected = n * np.diff(np.concatenate(([0.0], cdf, [1.0])))
 
-    obs = list(map(int, observed))
-    exp = list(map(float, expected))
-    while len(exp) > 1 and min(exp) < min_expected:
-        i = exp.index(min(exp))
-        # fold toward the nearer tail so sparse mass accumulates in the
-        # open-ended bins; an outermost bin folds inward instead
-        if i == 0:
-            j = 1
-        elif i == len(exp) - 1:
-            j = i - 1
-        else:
-            j = i - 1 if i < len(exp) / 2 else i + 1
-        exp[j] += exp[i]
-        obs[j] += obs[i]
-        del exp[i], obs[i]
-
+    obs, exp = _fold_sparse_bins(observed, expected, min_expected)
     if len(exp) < 3:
         raise DegenerateBinningError(f"only {len(exp)} bins left after merging")
 
     statistic = float(sum((o - e) ** 2 / e for o, e in zip(obs, exp)))
     dof = len(exp) - 1
-    # imported here so that loading the package does not pay for scipy
-    from scipy.special import chdtri
-
-    critical = float(chdtri(dof, 0.05))
+    critical = chi2_isf(dof, 0.05)
     return GofResult(statistic, dof, len(exp), critical, statistic > critical, tuple(obs), tuple(exp))

@@ -239,6 +239,21 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
+    # the gof command runs, and prints its golden, with scipy unimportable
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from nfl_lines.cli import run",
+        "try:",
+        "    run()",
+        "finally:",
+        "    print(sorted(m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v), file=sys.stderr)",
+    ])
+    proc = _python("-c", code, *GOLDEN_COMMANDS["gof.txt"], *GOLDEN_DATA_ARGS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "gof.txt").read_text()
+    assert proc.stderr.splitlines()[-1] == "[]"
+
 
 def test_python_m_version():
     proc = _python("-m", "nfl_lines", "--version")
@@ -302,6 +317,13 @@ def test_bin_width_past_the_bin_bound_exits_1(capsys, argv, bins):
     assert code == 1
     assert out == ""
     assert err == f"error: bin width {argv[-1]} gives {bins} bins, more than 10000\n"
+
+
+def test_hist_width_that_overflows_exits_1(capsys):
+    code, out, err = run(capsys, "hist", "--metric", "ld", "--bin-width", "1e-310", *DATA_ARGS)
+    assert code == 1
+    assert out == ""
+    assert err == "error: a value falls in no finite bin at bin_width 1e-310\n"
 
 
 @pytest.mark.parametrize("command", [["simulate", "--season", "2002"], ["predict-divisions"]])

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,32 @@ def test_histogram_translation_consistent(values, shift):
     base = histogram(values, 0.5, origin=-0.25)
     moved = histogram([v + shift for v in values], 0.5, origin=-0.25 + shift)
     assert base.bins == moved.bins
+
+
+def _histogram_oracle(values, bin_width, origin):
+    """The dict loop that binned values before the histogram ran on arrays."""
+    counts = defaultdict(int)
+    for v in values:
+        counts[math.floor((v - origin) / bin_width + 1e-9)] += 1
+    return dict(counts)
+
+
+_VALUES = st.one_of(st.integers(-60, 60).map(lambda k: k / 2.0), st.floats(-1e6, 1e6))
+
+
+@given(st.lists(_VALUES, max_size=60), st.floats(1e-3, 100.0), st.floats(-50.0, 50.0))
+@settings(max_examples=200)
+def test_histogram_matches_the_dict_loop(values, width, origin):
+    h = histogram(values, width, origin=origin)
+    assert h.bins == _histogram_oracle(values, width, origin)
+    assert all(type(k) is int and type(c) is int for k, c in h.bins.items())
+    assert h.total == len(values)
+
+
+@pytest.mark.parametrize("values, width", [([1.0, math.nan], 0.5), ([math.inf], 0.5), ([-math.inf], 0.5), ([1e308], 1e-10)])
+def test_histogram_rejects_non_finite_bins(values, width):
+    with pytest.raises(ValueError, match="no finite bin"):
+        histogram(values, width)
 
 
 def test_histogram_bad_width():

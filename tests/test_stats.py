@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from nfl_lines.stats import (
     EmptySampleError,
     InsufficientDataError,
     TooManyBinsError,
+    _fold_sparse_bins,
+    chi2_isf,
     chi_square_gof,
     moments,
     proportion_z,
@@ -162,6 +165,63 @@ def test_gof_critical_value_matches_chi2_ppf(n, bin_width):
     values = np.random.default_rng(3).normal(0.0, 13.588, n)
     result = chi_square_gof(values, 13.588, bin_width=bin_width)
     assert result.critical_value == pytest.approx(chi2.ppf(0.95, result.degrees_of_freedom), abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+def test_chi2_isf_matches_scipy(alpha):
+    for dof in range(1, 301):
+        assert chi2_isf(dof, alpha) == pytest.approx(chi2.isf(alpha, dof), rel=1e-9, abs=0)
+
+
+def test_chi2_isf_increases_with_dof_and_falls_with_alpha():
+    rows = [[chi2_isf(dof, alpha) for dof in range(1, 301)] for alpha in (0.10, 0.05, 0.01)]
+    for row in rows:
+        assert all(a < b for a, b in zip(row, row[1:]))
+    assert all(a < b < c for a, b, c in zip(*rows))
+
+
+@pytest.mark.parametrize("dof, alpha", [(0, 0.05), (1, 0.0), (1, 1.0), (1, math.nan)])
+def test_chi2_isf_rejects_bad_arguments(dof, alpha):
+    with pytest.raises(ValueError, match="need dof >= 1"):
+        chi2_isf(dof, alpha)
+
+
+def _fold_oracle(obs, exp, min_expected):
+    """The list loop that folded sparse bins before the fold ran on arrays."""
+    obs, exp = list(obs), list(exp)
+    while len(exp) > 1 and min(exp) < min_expected:
+        i = exp.index(min(exp))
+        if i == 0:
+            j = 1
+        elif i == len(exp) - 1:
+            j = i - 1
+        else:
+            j = i - 1 if i < len(exp) / 2 else i + 1
+        exp[j] += exp[i]
+        obs[j] += obs[i]
+        del exp[i], obs[i]
+    return obs, exp
+
+
+# ties and zeros are common in real layouts: draw from a few values as well
+_EXPECTED = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0]), st.floats(0.0, 40.0))
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), _EXPECTED), min_size=1, max_size=80), st.floats(0.0, 30.0))
+@settings(max_examples=300)
+def test_fold_matches_the_list_loop(layout, min_expected):
+    obs, exp = zip(*layout)
+    got = _fold_sparse_bins(np.array(obs), np.array(exp, dtype=float), min_expected)
+    assert got == _fold_oracle(obs, exp, min_expected)
+    assert all(type(o) is int for o in got[0])
+
+
+def test_gof_narrow_width_fails_fast():
+    # 9,997 bins, under the bound, all of which fold into the two tails
+    start = time.perf_counter()
+    with pytest.raises(DegenerateBinningError, match="only 2 bins left"):
+        chi_square_gof(np.linspace(-1.0, 1.0, 40), 1.0, bin_width=6 / 4996)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_gof_insufficient_data():
