@@ -7,10 +7,10 @@ table, and line-movement summaries.
 
 from pathlib import Path
 
-from nfl_lines.dataset import GameSide, favorite_of, load_dataset
+from nfl_lines.dataset import load_dataset
 from nfl_lines.metrics import (
-    ats_outcome,
     favorite_ats_summary,
+    favorite_signs,
     home_record_table,
     line_difference,
     movement_cumulative_counts,
@@ -25,14 +25,14 @@ ds = load_dataset(DATA / "fixtures" / "games.csv", DATA / "divisions.csv")
 ds = ds.filter(regular_season_only=True)
 print(f"{len(ds)} regular-season games across seasons {ds.seasons()}\n")
 
-# one game end to end
+# one game end to end: its record, and its row of the column table
 g = ds.games[1]
-fav = favorite_of(g)
+(settled,) = favorite_signs(ds.table.take(slice(1, 2)))  # +1 cover, 0 push, -1 no cover
 print(f"sample game: {g.away} at {g.home}, final {g.home_score}-{g.away_score}, close {g.line_close:+g}")
-print(f"  favorite: {fav.favorite} laying {fav.spread:g}")
+print(f"  favorite: {g.home if g.line_close > 0 else g.away} laying {abs(g.line_close):g}")
 print(f"  margin of victory: {mov(g)}")
 print(f"  line difference (favorite margin minus spread): {line_difference(g):+g}")
-print(f"  favorite bet settles: {ats_outcome(g, GameSide.FAVORITE).value}\n")
+print(f"  favorite bet settles: {('push', 'cover', 'no_cover')[settled]}\n")
 
 # how often the closing-line favorite actually delivered
 part = favorite_ats_summary(ds)

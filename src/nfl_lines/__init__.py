@@ -11,12 +11,11 @@ from .dataset import (
     DivisionMap,
     GameRecord,
     GameSide,
-    favorite_of,
     load_dataset,
     parse_divisions,
     parse_games,
 )
-from .metrics import AtsOutcome, ats_outcome, line_difference, line_movement, mov
+from .metrics import AtsOutcome, line_difference, line_movement, mov
 from .prob_model import WinDistribution, WinModel, poisson_binomial, win_probability
 from .simulator import SeasonSchedule, SimulationResult, build_schedule, simulate
 from .backtest import BUILTIN_STRATEGIES, Strategy, StrategyLedger, break_even_ratio, run_strategy
@@ -34,10 +33,8 @@ __all__ = [
     "StrategyLedger",
     "WinDistribution",
     "WinModel",
-    "ats_outcome",
     "break_even_ratio",
     "build_schedule",
-    "favorite_of",
     "line_difference",
     "line_movement",
     "load_dataset",

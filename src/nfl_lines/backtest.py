@@ -7,6 +7,7 @@ refund the stake and are excluded from win-ratio denominators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -69,6 +70,8 @@ def break_even_ratio(win_payout: float, stake: float) -> float:
     pricing this is 110/210 = 52.38%.
     """
     check_positive("stake and payout", stake, win_payout, error=NonPositiveStakeError)
+    if stake + win_payout == math.inf:  # the sum overflows; the halves have the same ratio
+        stake, win_payout = stake / 2, win_payout / 2
     return stake / (stake + win_payout)
 
 
@@ -96,12 +99,14 @@ class StrategyLedger(LedgerSummary):
     per_season: Mapping[int, LedgerSummary]
 
     def to_csv(self) -> str:
-        """One line per bet; the bets' GameRecords are built here, and only here."""
+        """One line per bet, read from the bets' columns."""
         lines = ["season,week,date,home,away,side,line_close,outcome,cashflow"]
-        for g, side, outcome, cashflow in zip(self.bets.records(), self.sides, self.outcomes, self.cashflows):
+        for (season, week, date, home, away, *_, line_close), side, outcome, cashflow in zip(
+            zip(*self.bets.columns()), self.sides, self.outcomes, self.cashflows
+        ):
             lines.append(
-                f"{g.season},{g.week},{g.date.isoformat()},{g.home},{g.away},"
-                f"{side.value},{g.line_close:g},{outcome.value},{cashflow:g}"
+                f"{season},{week},{date.isoformat()},{home},{away},"
+                f"{side.value},{line_close:g},{outcome.value},{cashflow:g}"
             )
         return "\n".join(lines) + "\n"
 
@@ -177,9 +182,7 @@ def _bet_signs(priced: GameTable, rows: np.ndarray, side: GameSide) -> np.ndarra
     flip = {GameSide.HOME: 1, GameSide.AWAY: -1, GameSide.FAVORITE: spread, GameSide.UNDERDOG: -spread}[side]
     if side in (GameSide.FAVORITE, GameSide.UNDERDOG) and not spread.all():
         k = rows[np.flatnonzero(spread == 0)[0]]  # the first bet on a pick-em
-        key = (priced.season[k].item(), priced.week[k].item(),
-               priced.teams[priced.home[k]], priced.teams[priced.away[k]])
-        raise UnresolvableSideError(f"no favorite on pick-em game {key}")
+        raise UnresolvableSideError(f"no favorite on pick-em game {priced.key(k)}")
     return flip * ats_signs(priced)[rows]
 
 

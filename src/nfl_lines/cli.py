@@ -201,13 +201,14 @@ def cmd_predict_divisions(ds: Dataset, args: argparse.Namespace) -> int:
 def cmd_backtest(ds: Dataset, args: argparse.Namespace) -> int:
     strategy = BUILTIN_STRATEGIES[args.strategy]
     ledger = run_strategy(ds, strategy, stake=args.stake, win_payout=args.payout, line=args.line)
+    break_even = break_even_ratio(args.payout, args.stake)
     ref = REFERENCE_2002_2011
     lines = [
         f"strategy: {strategy.name} ({args.line} line)",
         f"bets: {len(ledger.bets)} (W {ledger.wins} / L {ledger.losses} / P {ledger.pushes})",
         f"win ratio: {ledger.win_ratio:.4f}",
         f"profit: {ledger.profit:g} (stake {args.stake:g} to win {args.payout:g})",
-        f"break-even ratio: {break_even_ratio(args.payout, args.stake):.4f} "
+        f"break-even ratio: {break_even:.4f} "
         f"(reference: {ref['break_even']:.4f} at 110/100)",
     ]
     if ledger.wins + ledger.losses > 0:
@@ -215,8 +216,11 @@ def cmd_backtest(ds: Dataset, args: argparse.Namespace) -> int:
         status = "profitable" if comparison.profitable else "not profitable"
         lines.append(f"margin vs break-even: {comparison.margin:+.4f} ({status})")
         z_even = proportion_z(ledger.wins, ledger.losses, 0.5)
-        z_vig = proportion_z(ledger.wins, ledger.losses, break_even_ratio(args.payout, args.stake))
-        lines.append(f"z vs 0.5: {z_even.z:+.3f}; z vs break-even: {z_vig.z:+.3f}")
+        z_vig = (  # e.g. at stake 110, payout 1e-15 the break-even ratio rounds to 1.0
+            f"{proportion_z(ledger.wins, ledger.losses, break_even).z:+.3f}" if 0 < break_even < 1
+            else f"undefined (the ratio rounds to {break_even:g})"
+        )
+        lines.append(f"z vs 0.5: {z_even.z:+.3f}; z vs break-even: {z_vig}")
     if strategy.name == "home-underdog":
         lines.append(f"reference 2002-2011 home-underdog ratio: {ref['home_underdog_ratio']:.3f}")
     # seasons with no decided bet are left out, as in yearly_cover_series

@@ -16,26 +16,28 @@ instead, and it is the one place the two lines are chosen between.
 
 Validation: each rule a single game must pass is defined once, in
 ``_RULES``. ``GameRecord`` raises the first rule a record fails, and
-``parse_games`` runs the same tests over whole columns; one column search
-finds repeated keys and teams outside the division map. Only when a check
-fails is the text re-read row by row through ``GameRecord``, so the error
-names the first bad row as a row-by-row parse would, even when a later row
-cannot be read. ``filter`` is a mask.
+``parse_games`` runs the same tests once over whole columns; one column
+search finds repeated keys and teams outside the division map. The text is
+read once, good or bad: the error names the first bad row (one that cannot
+be read or converted, or fails a rule) as a row-by-row parse would, unless a
+key is repeated before it, and is worded from that one row's values.
+``filter`` is a mask.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
+from array import array
 from dataclasses import dataclass, fields, replace
 from datetime import date as Date
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -212,21 +214,6 @@ class GameRecord:
         return self.home_score - self.away_score
 
 
-class FavoriteInfo(NamedTuple):
-    favorite: str
-    underdog: str
-    spread: float
-
-
-def favorite_of(game: GameRecord) -> FavoriteInfo | None:
-    """Resolve the closing-line favorite, or ``None`` on a pick-em."""
-    if game.line_close > 0:
-        return FavoriteInfo(game.home, game.away, game.line_close)
-    if game.line_close < 0:
-        return FavoriteInfo(game.away, game.home, -game.line_close)
-    return None
-
-
 @dataclass(frozen=True)
 class DivisionMap:
     """Mapping of team code to (conference, division), 32 teams in 8 cells of 4."""
@@ -278,7 +265,12 @@ class DivisionMap:
 
 
 def _ints(values) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
+    """The ints as int64. One beyond int64 becomes +-2**62, which fails a game
+    rule as the int itself does: every rule bounds seasons, weeks and scores."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(value, -(2**62)), 2**62) for value in values], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,18 +314,26 @@ class GameTable:
     def __len__(self) -> int:
         return len(self.season)
 
-    def take(self, rows: np.ndarray) -> "GameTable":
-        """The rows a boolean mask or an index array selects, in that order."""
+    def take(self, rows: np.ndarray | slice) -> "GameTable":
+        """The rows a boolean mask, an index array or a slice selects, in that order."""
         return GameTable(*(getattr(self, f.name)[rows] for f in fields(self)[:-1]), self.teams)
+
+    def key(self, row: int) -> tuple[int, int, str, str]:
+        """The (season, week, home, away) key of the game in ``row``, as Python values."""
+        return (self.season[row].item(), self.week[row].item(), self.teams[self.home[row]], self.teams[self.away[row]])
+
+    def columns(self) -> tuple[Iterable, ...]:
+        """The columns as Python values, in GameRecord field order."""
+        team = self.teams.__getitem__
+        return (
+            self.season.tolist(), self.week.tolist(), map(Date.fromordinal, self.day.tolist()),
+            map(team, self.home.tolist()), map(team, self.away.tolist()), self.home_score.tolist(),
+            self.away_score.tolist(), self.line_open.tolist(), self.line_close.tolist(),
+        )
 
     def records(self) -> tuple[GameRecord, ...]:
         """The games as GameRecords, read back from the columns."""
-        team = self.teams.__getitem__
-        return tuple(map(
-            _checked_record, self.season.tolist(), self.week.tolist(), map(Date.fromordinal, self.day.tolist()),
-            map(team, self.home.tolist()), map(team, self.away.tolist()), self.home_score.tolist(),
-            self.away_score.tolist(), self.line_open.tolist(), self.line_close.tolist(),
-        ))
+        return tuple(map(_checked_record, *self.columns()))
 
     def on_line(self, line: str) -> "GameTable":
         """The games priced on the "close" or "open" line: ``line_close``
@@ -455,8 +455,7 @@ def _check_keys_and_teams(table: GameTable, divisions: DivisionMap | None = None
     if divisions is not None:
         _check_teams(table.take(np.arange(first)), divisions)
     if repeated.size:
-        game = table.take(np.array([first])).records()[0]
-        raise DuplicateGameError(rows[first] if rows else None, game.key)
+        raise DuplicateGameError(rows[first] if rows else None, table.key(first))
 
 
 def _check_teams(table: GameTable, divisions: DivisionMap) -> None:
@@ -465,12 +464,8 @@ def _check_teams(table: GameTable, divisions: DivisionMap) -> None:
     known = np.array([team in divisions for team in table.teams], dtype=bool)
     bad = np.flatnonzero(~known[table.home] | ~known[table.away])
     if bad.size:
-        game = table.take(bad[:1]).records()[0]
-        raise UnknownTeamError(game.home if game.home not in divisions else game.away)
-
-
-def _is_blank(row: Sequence[str]) -> bool:
-    return not "".join(row).strip()
+        _, _, home, away = table.key(bad[0])
+        raise UnknownTeamError(home if home not in divisions else away)
 
 
 def _header_index(header: Sequence[str], required: Sequence[str]) -> dict[str, int]:
@@ -498,31 +493,38 @@ def parse_games(csv_text: str) -> list[GameRecord]:
 
 
 def _parse_games(csv_text: str) -> GameTable:
-    try:
-        rows = list(csv.reader(io.StringIO(csv_text, newline="")))
-    except csv.Error:  # e.g. a field over csv.field_size_limit(): the error path names its line
-        rows = []
-    body = [row for row in rows[1:] if not _is_blank(row)]
-    if rows and all(len(row) == len(GAME_COLUMNS) for row in body):
-        idx = _header_index(rows[0], GAME_COLUMNS)
-        # read whole columns, dropping each column's text once it is read
-        cells = list(zip(*body)) or [()] * len(GAME_COLUMNS)
-        del rows, body
-        try:
-            columns = []
-            for name, convert in _FIELDS:
-                columns.append(list(map(convert, map(str.strip, cells[idx[name]]))))
-                cells[idx[name]] = ()
-            view = _columns(*columns)
-            valid = all(test(view).all() for test, _ in _RULES)
-        except (ValueError, TypeError, OverflowError):  # OverflowError: an integer beyond int64
-            valid = False
-        if valid:
-            table = GameTable.of(view)
-            with contextlib.suppress(DuplicateGameError):  # the error path names its row
-                _check_keys_and_teams(table)
-                return table
-    _raise_first_error(csv_text)
+    """The games in ``csv_text`` as a table, read once and checked once.
+
+    Raises the error of the first bad row: one the CSV reader cannot read,
+    one with the wrong number of fields, a value that does not convert, or
+    a rule that fails. A key repeated before that row is raised instead.
+    """
+    starts, cells, error = _data_rows(csv_text, GAME_COLUMNS)
+    bad, values = len(starts), []  # the first bad row found so far, and each field's values before it
+    for _, convert in _FIELDS:
+        column = []
+        try:  # each column's text is dropped once it is read
+            column.extend(map(convert, map(str.strip, islice(cells.pop(0), bad))))
+        except ValueError as exc:  # column holds the values read before the failing one
+            bad, error = len(column), MalformedRowError(starts[len(column)], str(exc))
+        values.append(column)
+    for column in values:
+        del column[bad:]
+    games = _columns(*values)
+    with np.errstate(invalid="ignore"):  # inf % 1, in a row that failed the spread cap above it
+        passed = np.logical_and.reduce([test(games) for test, _ in _RULES])
+    first = bad if passed.all() else int(passed.argmin())
+    table = GameTable.of(games)
+    _check_keys_and_teams(table.take(slice(first)), rows=starts)
+    if first < bad:  # a rule fails: word it from the row's own values
+        row = SimpleNamespace(**{name: column[first] for name, column in zip(GAME_COLUMNS, values)})
+        failure = next(word(row) for test, word in _RULES if not test(row))
+        if isinstance(failure, NonHalfPointSpreadError):
+            raise NonHalfPointSpreadError(failure.value, row=starts[first])
+        raise MalformedRowError(starts[first], str(failure))
+    if error:
+        raise error
+    return table
 
 
 def _columns(season, week, dates, home, away, home_score, away_score, line_open, line_close) -> SimpleNamespace:
@@ -554,52 +556,43 @@ def _checked_record(season, week, date, home, away, home_score, away_score, line
     return record
 
 
-def _raise_first_error(csv_text: str) -> NoReturn:
-    """Parse row by row through GameRecord, and raise the first bad row's error."""
-    games, starts, error = [], [], None
-    try:
-        for line, row in _data_rows(csv_text, GAME_COLUMNS):
-            try:
-                games.append(GameRecord(*(convert(value) for (_, convert), value in zip(_FIELDS, row))))
-            except NonHalfPointSpreadError as exc:
-                raise NonHalfPointSpreadError(exc.value, row=line) from None
-            except (ValueError, TypeError) as exc:  # a conversion, or a GameRecord check
-                raise MalformedRowError(line, str(exc)) from None
-            starts.append(line)
-    except DatasetError as exc:
-        error = exc
-    # a key repeated before the first bad row is reported first
-    _check_keys_and_teams(GameTable.of_records(games), rows=starts)
-    raise error or AssertionError("the column checks rejected games that GameRecord accepts")
+def _data_rows(csv_text: str, columns: Sequence[str]) -> tuple[array, list[tuple[str, ...]], DatasetError | None]:
+    """Read a CSV text once, checking its header against ``columns``.
 
-
-def _data_rows(csv_text: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """The 1-based physical line and stripped fields, in ``columns`` order,
-    of each non-blank data row, read one row at a time: an error names the
-    first bad row even when a later row is one the CSV reader cannot read.
-
-    Only CR and LF end a line: a form feed or U+2028 stays inside its field,
-    and a quoted field may span lines.
+    Gives the 1-based physical line each non-blank data row starts on, the
+    rows' unstripped fields as one tuple per name in ``columns``, and the
+    error of the first row the CSV reader cannot read or that has the wrong
+    number of fields (``None`` if there is none); rows from that one on are
+    left out. Only CR and LF end a line: a form feed or U+2028 stays inside
+    its field, and a quoted field may span lines.
     """
     reader = csv.reader(io.StringIO(csv_text, newline=""))
-    line = 1
+    starts, rows, line, error = array("q"), [], 1, None
     try:
         idx = _header_index(next(reader, []), columns)
         line = reader.line_num + 1
         for row in reader:
-            if not _is_blank(row):
+            if "".join(row).strip():  # a blank row is skipped
                 if len(row) != len(columns):
-                    raise MalformedRowError(line, f"expected {len(columns)} fields, got {len(row)}")
-                yield line, [row[idx[name]].strip() for name in columns]
+                    error = MalformedRowError(line, f"expected {len(columns)} fields, got {len(row)}")
+                    break
+                starts.append(line)
+                rows.append(row)
             line = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise MalformedRowError(line, str(exc)) from None
+        error = MalformedRowError(line, str(exc))
+        if line == 1:  # in the header
+            raise error from None
+    del reader  # and the reader's copy of the text, before the columns are built
+    cells = list(zip(*rows)) or [()] * len(columns)
+    return starts, [cells[idx[name]] for name in columns], error
 
 
 def parse_divisions(csv_text: str) -> DivisionMap:
     """Parse the divisions CSV (columns team,conference,division; 32 rows)."""
     entries: dict[str, tuple[str, str]] = {}
-    for rownum, (team, conf, div) in _data_rows(csv_text, DIVISION_COLUMNS):
+    starts, columns, error = _data_rows(csv_text, DIVISION_COLUMNS)
+    for rownum, team, conf, div in zip(starts, *(map(str.strip, column) for column in columns)):
         if not team:
             raise MalformedRowError(rownum, "empty team code")
         if conf not in CONFERENCES:
@@ -609,6 +602,8 @@ def parse_divisions(csv_text: str) -> DivisionMap:
         if team in entries:
             raise MalformedRowError(rownum, f"duplicate team {team!r}")
         entries[team] = (conf, div)
+    if error:
+        raise error
     return DivisionMap(entries)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, GameRecord, GameSide, GameTable
+from .dataset import Dataset, GameRecord, GameTable
 from .stats import check_positive
 
 #: Default bin widths: half-point market granularity for spreads, whole
@@ -32,13 +32,6 @@ class AtsOutcome(Enum):
     COVER = "cover"
     NO_COVER = "no_cover"
     PUSH = "push"
-
-
-_MIRROR = {
-    AtsOutcome.COVER: AtsOutcome.NO_COVER,
-    AtsOutcome.NO_COVER: AtsOutcome.COVER,
-    AtsOutcome.PUSH: AtsOutcome.PUSH,
-}
 
 
 def mov(game: GameRecord | GameTable) -> int | np.ndarray:
@@ -71,24 +64,6 @@ def movement_magnitude(game: GameRecord | GameTable) -> float | np.ndarray:
     return abs(game.line_close - game.line_open)
 
 
-def ats_outcome(game: GameRecord, side: GameSide) -> AtsOutcome:
-    """Settle a bet on ``side`` against the closing spread.
-
-    Home/Away resolve on any game (a pick-em home bet wins iff the home
-    team wins straight up). Favorite/Underdog require a non-zero line.
-    """
-    if side in (GameSide.FAVORITE, GameSide.UNDERDOG):
-        if game.line_close == 0:
-            raise UnresolvableSideError(f"no favorite on pick-em game {game.key}")
-        ld = line_difference(game)
-        fav = AtsOutcome.COVER if ld > 0 else AtsOutcome.PUSH if ld == 0 else AtsOutcome.NO_COVER
-        return fav if side is GameSide.FAVORITE else _MIRROR[fav]
-    # home covers iff it beats the spread from its own frame
-    d = (game.home_score - game.away_score) - game.line_close
-    home = AtsOutcome.COVER if d > 0 else AtsOutcome.PUSH if d == 0 else AtsOutcome.NO_COVER
-    return home if side is GameSide.HOME else _MIRROR[home]
-
-
 class FavoriteAtsSummary(NamedTuple):
     """Partition of non-pick-em games by the favorite's straight-up/ATS result."""
 
@@ -118,9 +93,10 @@ def favorite_ats_summary(dataset: Dataset) -> FavoriteAtsSummary:
 def ats_signs(table: GameTable) -> np.ndarray:
     """Home-side settlement of every game against the closing spread.
 
-    +1 where the home side covers, 0 on a push, -1 where it does not: the
-    array form of ``ats_outcome(game, GameSide.HOME)``. For the opening
-    line, pass ``table.on_line("open")``.
+    +1 where the home side covers (beats the spread from its own frame),
+    0 on a push, -1 where it does not; a pick-em home bet covers iff the
+    home team wins straight up. Negate it for the away side. For the
+    opening line, pass ``table.on_line("open")``.
     """
     return np.sign(2 * table.home_margin - table.close2)
 
@@ -128,8 +104,8 @@ def ats_signs(table: GameTable) -> np.ndarray:
 def favorite_signs(table: GameTable) -> np.ndarray:
     """The favorite's settlement in each non-pick-em game, in game order.
 
-    +1 cover, 0 push, -1 no cover against the closing spread: the array
-    form of ``ats_outcome(game, GameSide.FAVORITE)``.
+    +1 cover, 0 push, -1 no cover against the closing spread; negate it
+    for the underdog. A pick-em has no favorite and no entry here.
     """
     close2 = table.close2
     return (np.sign(close2) * ats_signs(table))[close2 != 0]

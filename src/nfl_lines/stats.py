@@ -95,7 +95,8 @@ def proportion_z(wins: int, losses: int, p0: float) -> ZTestResult:
     if not 0 < p0 < 1:
         raise ValueError(f"p0 must be in (0, 1), got {p0}")
     p_hat = wins / n
-    z = (p_hat - p0) / math.sqrt(p0 * (1 - p0) / n)
+    # the roots taken apart: p0 * (1 - p0) / n underflows to 0 for a tiny p0
+    z = (p_hat - p0) / (math.sqrt(p0) * math.sqrt(1 - p0) / math.sqrt(n))
     return ZTestResult(p_hat, n, p0, z)
 
 
@@ -194,8 +195,7 @@ def chi_square_gof(
         raise InsufficientDataError(f"need at least 30 values, got {n}")
     check_positive("sigma", sigma)
     check_positive("bin_width", bin_width)
-    if not -math.inf < min_expected < math.inf:
-        raise ValueError(f"min_expected must be finite, got {min_expected}")
+    check_positive("min_expected", min_expected)  # a bin that expects 0 is folded, never divided by
 
     # interior edges at +/-(w/2 + k*w), wide enough to cover both the data
     # and essentially all model mass

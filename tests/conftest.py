@@ -1,11 +1,13 @@
 import os
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
-from nfl_lines.dataset import Dataset, GameRecord, load_dataset, load_divisions
+from nfl_lines.dataset import Dataset, GameRecord, GameSide, load_dataset, load_divisions
+from nfl_lines.metrics import AtsOutcome, UnresolvableSideError, line_difference
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -71,6 +73,49 @@ def make_game(
 
 def make_dataset(games, divisions):
     return Dataset(tuple(games), divisions, provenance="test")
+
+
+# -- record oracles: the per-game forms of the column settlement -------------
+
+
+class FavoriteInfo(NamedTuple):
+    favorite: str
+    underdog: str
+    spread: float
+
+
+def favorite_of(game):
+    """Resolve the closing-line favorite, or ``None`` on a pick-em."""
+    if game.line_close > 0:
+        return FavoriteInfo(game.home, game.away, game.line_close)
+    if game.line_close < 0:
+        return FavoriteInfo(game.away, game.home, -game.line_close)
+    return None
+
+
+MIRROR = {
+    AtsOutcome.COVER: AtsOutcome.NO_COVER,
+    AtsOutcome.NO_COVER: AtsOutcome.COVER,
+    AtsOutcome.PUSH: AtsOutcome.PUSH,
+}
+
+
+def ats_outcome(game, side):
+    """Settle a bet on ``side`` of one game against the closing spread.
+
+    Home/Away resolve on any game (a pick-em home bet wins iff the home
+    team wins straight up). Favorite/Underdog require a non-zero line.
+    """
+    if side in (GameSide.FAVORITE, GameSide.UNDERDOG):
+        if game.line_close == 0:
+            raise UnresolvableSideError(f"no favorite on pick-em game {game.key}")
+        ld = line_difference(game)
+        fav = AtsOutcome.COVER if ld > 0 else AtsOutcome.PUSH if ld == 0 else AtsOutcome.NO_COVER
+        return fav if side is GameSide.FAVORITE else MIRROR[fav]
+    # home covers iff it beats the spread from its own frame
+    d = (game.home_score - game.away_score) - game.line_close
+    home = AtsOutcome.COVER if d > 0 else AtsOutcome.PUSH if d == 0 else AtsOutcome.NO_COVER
+    return home if side is GameSide.HOME else MIRROR[home]
 
 
 # -- hypothesis strategies ---------------------------------------------------

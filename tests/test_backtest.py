@@ -210,3 +210,13 @@ def test_prices_reject_non_finite_values(regular_dataset, value):
             break_even_ratio(payout, stake)
         with pytest.raises(NonPositiveStakeError, match="stake and payout must be"):
             run_strategy(regular_dataset, HOME_UNDERDOG, stake=stake, win_payout=payout)
+
+
+def test_ledger_csv_builds_no_records(fixture_dataset, request):
+    ledger = run_strategy(fixture_dataset, HOME_UNDERDOG, line="open")
+    expected = ["season,week,date,home,away,side,line_close,outcome,cashflow"] + [
+        f"{g.season},{g.week},{g.date.isoformat()},{g.home},{g.away},home,{g.line_close:g},{outcome.value},{cash:g}"
+        for g, outcome, cash in zip(ledger.bets.records(), ledger.outcomes, ledger.cashflows)
+    ]
+    request.getfixturevalue("no_records")
+    assert ledger.to_csv() == "\n".join(expected) + "\n"

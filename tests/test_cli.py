@@ -305,6 +305,28 @@ def test_non_finite_parameter_exits_1(capsys, argv):
     assert "must be finite" in err
 
 
+def test_gof_min_expected_of_zero_exits_1(capsys):
+    # a bin past about 8.3 sigma expects exactly 0.0: it must be folded, not divided by
+    code, out, err = run(capsys, "gof", "--min-expected", "0", "--sigma", "1", *DATA_ARGS)
+    assert (code, out, err) == (1, "", "error: min_expected must be positive, got 0.0\n")
+
+
+@pytest.mark.parametrize(
+    "prices",
+    [
+        ["--stake", "1e-320"],
+        ["--stake", "1e308", "--payout", "1e308"],
+        ["--stake", "5e-324"],
+        ["--stake", "110", "--payout", "1e-15"],
+    ],
+    ids=["break-even-underflows", "stake-plus-payout-overflows", "break-even-rounds-to-0", "break-even-rounds-to-1"],
+)
+def test_backtest_at_extreme_prices(capsys, prices):
+    code, out, err = run(capsys, "backtest", "--strategy", "home-underdog", *prices, *DATA_ARGS)
+    assert (code, err) == (0, "")
+    assert "z vs break-even: " in out
+
+
 @pytest.mark.parametrize(
     "argv, bins",
     [

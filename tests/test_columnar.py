@@ -32,7 +32,7 @@ from nfl_lines.backtest import (
     run_strategy,
     when,
 )
-from nfl_lines.dataset import Dataset, DatasetError, GameRecord, GameSide, favorite_of, load_dataset
+from nfl_lines.dataset import Dataset, DatasetError, GameRecord, GameSide, load_dataset
 from nfl_lines.metrics import (
     AtsOutcome,
     FavoriteAtsSummary,
@@ -40,7 +40,6 @@ from nfl_lines.metrics import (
     HomeRecordTable,
     RecordCell,
     WeeklyMovement,
-    ats_outcome,
     favorite_ats_summary,
     home_record_table,
     line_difference,
@@ -60,7 +59,7 @@ from nfl_lines.simulator import (
     simulate,
 )
 
-from conftest import DIVISIONS, FIXTURE_GAMES, REPO, TEAM_CODES, make_dataset, make_game
+from conftest import DIVISIONS, FIXTURE_GAMES, REPO, TEAM_CODES, ats_outcome, favorite_of, make_dataset, make_game
 
 # -- the record-loop oracles --------------------------------------------------
 

@@ -16,14 +16,13 @@ from nfl_lines.dataset import (
     UnknownConferenceError,
     UnknownTeamError,
     WrongTeamCountError,
-    favorite_of,
     games_to_csv,
     load_dataset,
     parse_divisions,
     parse_games,
 )
 
-from conftest import DIVISIONS, FIXTURE_GAMES, game_records, make_dataset, make_game
+from conftest import DIVISIONS, FIXTURE_GAMES, favorite_of, game_records, make_dataset, make_game
 
 HEADER = "season,week,date,home,away,home_score,away_score,line_open,line_close"
 
@@ -358,3 +357,28 @@ def test_bad_conference_before_an_oversized_field_is_reported():
 def test_missing_column_before_an_oversized_field_is_reported():
     with pytest.raises(MissingColumnError):
         parse_games(HEADER.replace(",line_close", "") + "\n" + OVERSIZED + "\n")
+
+
+@pytest.mark.parametrize(
+    "last_row, error, message",
+    [
+        ("2003,19,2004-01-11,NE,MIA,8,15,3.5,x", MalformedRowError, "row 526: could not convert string to float: 'x'"),
+        ("2002,1,2002-09-08,ARI,ATL,18,36,0,0", DuplicateGameError, "row 526: duplicate game (2002, 1, 'ARI', 'ATL')"),
+        ("2003,19,2004-01-11,NE,ZZZ,8,15,3.5,3.5", UnknownTeamError, "team 'ZZZ' does not resolve in the division map"),
+    ],
+    ids=["bad-last-row", "repeated-key", "unknown-team"],
+)
+def test_load_errors_build_no_records(tmp_path, no_records, last_row, error, message):
+    games = tmp_path / "games.csv"
+    games.write_text(FIXTURE_GAMES.read_text() + last_row + "\n")
+    with pytest.raises(error) as err:
+        load_dataset(games, DIVISIONS)
+    assert str(err.value) == message
+
+
+def test_dataset_duplicate_builds_no_records(divisions, request):
+    games = [make_game(week=1), make_game(week=2), make_game(week=1)]
+    request.getfixturevalue("no_records")  # the games above are the only records
+    with pytest.raises(DuplicateGameError) as err:
+        make_dataset(games, divisions)
+    assert str(err.value) == "duplicate game (2002, 1, 'NYJ', 'NE')"

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfl_lines.dataset import GameSide, favorite_of
+from nfl_lines.backtest import run_strategy, when
+from nfl_lines.dataset import GameSide
 from nfl_lines.metrics import (
     AtsOutcome,
     UnresolvableSideError,
-    ats_outcome,
     favorite_ats_summary,
     histogram,
     home_record_table,
@@ -22,7 +22,7 @@ from nfl_lines.metrics import (
     pick_em_count,
 )
 
-from conftest import game_records, make_dataset, make_game
+from conftest import ats_outcome, favorite_of, game_records, make_dataset, make_game
 
 
 def test_mov():
@@ -47,29 +47,35 @@ def test_line_difference_pick_em_is_home_margin():
     assert line_difference(make_game(home_score=13, away_score=20, line_close=0.0)) == -7.0
 
 
-def test_ats_outcome_examples():
+def settle(game, side, divisions):
+    """A bet on ``side`` of ``game`` alone, settled on the columns by a backtest."""
+    (outcome,) = run_strategy(make_dataset([game], divisions), when("bet", lambda g: True, side)).outcomes
+    return outcome
+
+
+def test_ats_outcome_examples(divisions):
     g = make_game(home="NYJ", away="NE", home_score=14, away_score=38, line_close=-7.0)
-    assert ats_outcome(g, GameSide.FAVORITE) is AtsOutcome.COVER
-    assert ats_outcome(g, GameSide.UNDERDOG) is AtsOutcome.NO_COVER
-    assert ats_outcome(g, GameSide.AWAY) is AtsOutcome.COVER
-    assert ats_outcome(g, GameSide.HOME) is AtsOutcome.NO_COVER
+    assert settle(g, GameSide.FAVORITE, divisions) is AtsOutcome.COVER
+    assert settle(g, GameSide.UNDERDOG, divisions) is AtsOutcome.NO_COVER
+    assert settle(g, GameSide.AWAY, divisions) is AtsOutcome.COVER
+    assert settle(g, GameSide.HOME, divisions) is AtsOutcome.NO_COVER
 
     push = make_game(home_score=20, away_score=17, line_close=3.0)
-    assert ats_outcome(push, GameSide.UNDERDOG) is AtsOutcome.PUSH
+    assert settle(push, GameSide.UNDERDOG, divisions) is AtsOutcome.PUSH
 
     ld_minus_nine = make_game(home_score=17, away_score=20, line_close=6.0)
-    assert ats_outcome(ld_minus_nine, GameSide.UNDERDOG) is AtsOutcome.COVER
+    assert settle(ld_minus_nine, GameSide.UNDERDOG, divisions) is AtsOutcome.COVER
 
 
-def test_ats_outcome_pick_em():
+def test_ats_outcome_pick_em(divisions):
     win = make_game(home_score=24, away_score=10, line_close=0.0, line_open=0.0)
     lose = make_game(home_score=10, away_score=24, line_close=0.0, line_open=0.0)
     tie = make_game(home_score=17, away_score=17, line_close=0.0, line_open=0.0)
-    assert ats_outcome(win, GameSide.HOME) is AtsOutcome.COVER
-    assert ats_outcome(lose, GameSide.HOME) is AtsOutcome.NO_COVER
-    assert ats_outcome(tie, GameSide.HOME) is AtsOutcome.PUSH
+    assert settle(win, GameSide.HOME, divisions) is AtsOutcome.COVER
+    assert settle(lose, GameSide.HOME, divisions) is AtsOutcome.NO_COVER
+    assert settle(tie, GameSide.HOME, divisions) is AtsOutcome.PUSH
     with pytest.raises(UnresolvableSideError):
-        ats_outcome(win, GameSide.FAVORITE)
+        settle(win, GameSide.FAVORITE, divisions)
 
 
 @given(game_records())
