@@ -198,6 +198,11 @@ def cmd_predict_divisions(ds: Dataset, args: argparse.Namespace) -> int:
     return 0
 
 
+def _z(z: float) -> str:
+    """A z score in a bounded width: at a break-even ratio near 0 it can pass 1e160."""
+    return f"{z:+.3f}" if abs(z) < 1e6 else f"{z:+.3e}"
+
+
 def cmd_backtest(ds: Dataset, args: argparse.Namespace) -> int:
     strategy = BUILTIN_STRATEGIES[args.strategy]
     ledger = run_strategy(ds, strategy, stake=args.stake, win_payout=args.payout, line=args.line)
@@ -217,10 +222,10 @@ def cmd_backtest(ds: Dataset, args: argparse.Namespace) -> int:
         lines.append(f"margin vs break-even: {comparison.margin:+.4f} ({status})")
         z_even = proportion_z(ledger.wins, ledger.losses, 0.5)
         z_vig = (  # e.g. at stake 110, payout 1e-15 the break-even ratio rounds to 1.0
-            f"{proportion_z(ledger.wins, ledger.losses, break_even).z:+.3f}" if 0 < break_even < 1
+            _z(proportion_z(ledger.wins, ledger.losses, break_even).z) if 0 < break_even < 1
             else f"undefined (the ratio rounds to {break_even:g})"
         )
-        lines.append(f"z vs 0.5: {z_even.z:+.3f}; z vs break-even: {z_vig}")
+        lines.append(f"z vs 0.5: {_z(z_even.z)}; z vs break-even: {z_vig}")
     if strategy.name == "home-underdog":
         lines.append(f"reference 2002-2011 home-underdog ratio: {ref['home_underdog_ratio']:.3f}")
     # seasons with no decided bet are left out, as in yearly_cover_series

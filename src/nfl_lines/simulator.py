@@ -4,6 +4,10 @@ Stream layout 2: replication ``r`` of a season of G games reads draws
 ``i*G`` to ``i*G+G-1`` of the Philox stream keyed on ``(seed, block)``, where
 ``block, i = divmod(r, SIM_BLOCK)``. Results are bit-identical for a seed
 whatever ``workers`` says, and a run's replications prefix any longer run's.
+The draws are the raw 64-bit Philox words, compared with one exact integer
+limit per game: a word is a home win exactly when numpy's
+``Generator.random()`` would turn it into a float below the game's
+probability, so layout, seeds and outputs are those of the float draws.
 
 A season's schedule keeps its games as rows of the dataset's GameTable:
 actual wins and head-to-head tie-breaks are one tally over those rows.
@@ -127,18 +131,32 @@ def simulate(
     Each game resolves independently as a home win with its scheduled
     probability, one uniform draw per (replication, game), laid out as the
     module docstring says (``STREAM_LAYOUT``): one Philox key per block of
-    ``SIM_BLOCK`` replications. Predicted wins are the per-team means
-    rounded half-up. ``seed`` must be in [0, 2**64). ``workers`` is
-    accepted for compatibility and has no effect.
+    ``SIM_BLOCK`` replications, whose raw words meet exact integer limits.
+    Predicted wins are the per-team means rounded half-up. ``seed`` must be
+    in [0, 2**64), and every ``home_win_prob`` in [0, 1]: any other raises
+    ValueError before a draw. ``workers`` is accepted for compatibility and
+    has no effect.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
     seed64 = int(seed)
     if not 0 <= seed64 < 2**64:  # a wider seed would alias one inside the range
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    probs = np.array([e.home_win_prob for e in schedule.entries], dtype=np.float64)
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))  # nan fails both
+    if bad.size:
+        e = schedule.entries[bad[0]]
+        raise ValueError(
+            f"game {e.game_index} ({e.away} at {e.home}, season {schedule.season}): "
+            f"home_win_prob must be in [0, 1], got {e.home_win_prob}"
+        )
+    # Generator.random() maps word w to (w >> 11) * 2**-53, so its draw is below p
+    # exactly when w < ceil(p * 2**53) << 11; p = 1 would need 2**64, past a uint64,
+    # so those games are made home wins apart
+    limits = np.ceil(probs * 2.0**53).astype(np.uint64) << 11
+    certain = np.flatnonzero(probs == 1.0)
     teams = schedule.teams
     index = {t: i for i, t in enumerate(teams)}
-    probs = np.array([e.home_win_prob for e in schedule.entries])
     home_idx = np.array([index[e.home] for e in schedule.entries], dtype=np.intp)
     away_idx = np.array([index[e.away] for e in schedule.entries], dtype=np.intp)
     n_teams = len(teams)
@@ -146,16 +164,18 @@ def simulate(
     eye = np.eye(n_teams, dtype=np.int64)
     incidence = eye[home_idx] - eye[away_idx]
     away_games = np.bincount(away_idx, minlength=n_teams)
-    draws = np.empty((min(SIM_BLOCK, replications), len(probs)))
     home_counts = np.zeros(len(probs), dtype=np.int64)  # home wins per game, over all replications
     samples = np.empty((replications, n_teams), dtype=np.int64) if keep_samples else None
     for block, start in enumerate(range(0, replications, SIM_BLOCK)):
         rows = min(SIM_BLOCK, replications - start)
         # a uint64 key, as a list would pass seeds >= 2**63 through float64
         key = np.array([seed64, block], dtype=np.uint64)
-        np.random.Generator(np.random.Philox(key=key)).random(out=draws[:rows])
-        home_win = draws[:rows] < probs
-        home_counts += np.count_nonzero(home_win, axis=0)
+        words = np.random.Philox(key=key).random_raw(rows * len(probs)).reshape(rows, len(probs))
+        home_win = words < limits
+        del words  # freed before the next block draws its own
+        if certain.size:
+            home_win[:, certain] = True
+        home_counts += home_win.view(np.uint8).sum(axis=0, dtype=np.uint16)  # SIM_BLOCK < 2**16
         if samples is not None:  # float32 sums of +-1 are exact, and faster than bool @ float32
             wins = home_win.astype(np.float32) @ incidence.astype(np.float32)
             samples[start : start + rows] = wins.astype(np.int64) + away_games

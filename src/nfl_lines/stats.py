@@ -31,7 +31,8 @@ class DegenerateBinningError(ValueError):
 
 class TooManyBinsError(ValueError):
     def __init__(self, bin_width: float, bins: float):
-        super().__init__(f"bin width {bin_width:g} gives {bins:.0f} bins, more than {MAX_BINS}")
+        count = f"{bins:.0f}" if bins < 1e9 else f"{bins:.3g}"  # gof --sigma 1e300 gives 6e300
+        super().__init__(f"bin width {bin_width:g} gives {count} bins, more than {MAX_BINS}")
         self.bin_width = bin_width
         self.bins = bins
 

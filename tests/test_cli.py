@@ -324,21 +324,26 @@ def test_gof_min_expected_of_zero_exits_1(capsys):
 def test_backtest_at_extreme_prices(capsys, prices):
     code, out, err = run(capsys, "backtest", "--strategy", "home-underdog", *prices, *DATA_ARGS)
     assert (code, err) == (0, "")
-    assert "z vs break-even: " in out
+    line = next(line for line in out.splitlines() if line.startswith("z vs 0.5: "))
+    z_even, z_vig = (field.split(": ", 1)[1] for field in line.split("; z vs break-even"))
+    assert len(z_even) <= len("+999999.999")
+    assert len(z_vig) <= len("+999999.999") or z_vig.startswith("undefined (")  # +5.752e+161 at 1e-320
 
 
 @pytest.mark.parametrize(
-    "argv, bins",
+    "argv, width, bins",
     [
-        (["gof", "--bin-width", "0.0163"], 10009),
-        (["hist", "--metric", "ld", "--format", "svg", "--bin-width", "0.00855"], 10001),
+        (["gof", "--bin-width", "0.0163"], "0.0163", "10009"),
+        (["hist", "--metric", "ld", "--format", "svg", "--bin-width", "0.00855"], "0.00855", "10001"),
+        (["gof", "--sigma", "1e300"], "2", "6e+300"),
     ],
+    ids=["argv0-10009", "argv1-10001", "gof-sigma-1e300"],
 )
-def test_bin_width_past_the_bin_bound_exits_1(capsys, argv, bins):
+def test_bin_width_past_the_bin_bound_exits_1(capsys, argv, width, bins):
     code, out, err = run(capsys, *argv, *DATA_ARGS)
     assert code == 1
     assert out == ""
-    assert err == f"error: bin width {argv[-1]} gives {bins} bins, more than 10000\n"
+    assert err == f"error: bin width {width} gives {bins} bins, more than 10000\n"
 
 
 def test_hist_width_that_overflows_exits_1(capsys):

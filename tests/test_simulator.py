@@ -157,6 +157,63 @@ def test_simulate_keys_each_block_apart():
         assert np.array_equal(home_wins[block * SIM_BLOCK : (block + 1) * SIM_BLOCK], expected)
 
 
+def _edge_probabilities():
+    # k * 2**-53 is where a draw (w >> 11) * 2**-53 stops being a home win
+    ks = (3, 2**52 - 1, 2**52 + 1, 6004799503160661, 2**53 - 2)
+    grid = [k * 2.0**-53 for k in ks]
+    near = [math.nextafter(p, toward) for p in grid for toward in (0.0, 1.0)]
+    return [0.0, 5e-324, 2.0**-53, *grid, *near, 0.5, math.nextafter(1.0, 0.0), 1.0]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("replications", [1, SIM_BLOCK - 1, SIM_BLOCK + 1])
+def test_simulate_matches_float_draws_at_edge_probabilities(seed, replications):
+    schedule = _toy_schedule(_edge_probabilities())
+    kept = simulate(schedule, replications, seed=seed, keep_samples=True)
+    assert np.array_equal(kept.win_samples, _reference_win_samples(schedule, replications, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_simulate_matches_float_draws_at_sigma_near_zero(regular_dataset, seed):
+    schedule = build_schedule(regular_dataset, 2002, WinModel(sigma=1e-300))
+    assert {e.home_win_prob for e in schedule.entries} == {0.0, 0.5, 1.0}
+    kept = simulate(schedule, SIM_BLOCK + 1, seed=seed, keep_samples=True)
+    assert np.array_equal(kept.win_samples, _reference_win_samples(schedule, SIM_BLOCK + 1, seed))
+
+
+def test_simulate_decides_each_word_as_its_float_draw(monkeypatch):
+    # words on both sides of every game's limit, read as Generator.random() reads them
+    probs = _edge_probabilities()
+    mantissas = {0, 1, 2**53 - 1}
+    for p in probs:
+        k = math.ceil(p * 2**53)
+        mantissas |= {m for m in (k - 1, k, k + 1) if 0 <= m < 2**53}
+    words = np.array([w for m in sorted(mantissas) for w in (m << 11, m << 11 | 2047)], dtype=np.uint64)
+
+    class FixedWords:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, size):
+            return np.repeat(words, len(probs))
+
+    monkeypatch.setattr(np.random, "Philox", FixedWords)
+    schedule = _toy_schedule(probs)
+    kept = simulate(schedule, len(words), seed=0, keep_samples=True)
+    expected = (words >> 11)[:, None] * 2.0**-53 < np.array(probs)
+    assert np.array_equal(kept.win_samples[:, kept.teams.index("NE")], expected.sum(axis=1))
+    opponents = [kept.teams.index(f"T{i:02d}") for i in range(len(probs))]
+    assert np.array_equal(kept.win_samples[:, opponents], ~expected)
+
+
+@pytest.mark.parametrize("prob", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+def test_simulate_rejects_a_probability_outside_0_1(prob):
+    schedule = _toy_schedule([0.5, prob], opponents=["MIA", "NYJ"])
+    message = rf"^game 1 \(NYJ at NE, season 2002\): home_win_prob must be in \[0, 1\], got {prob}$"
+    with pytest.raises(ValueError, match=message):
+        simulate(schedule, 1, seed=1)
+
+
 def test_simulate_conservation(regular_dataset):
     schedule = build_schedule(regular_dataset, 2003, MODEL)
     result = simulate(schedule, 100, seed=3, keep_samples=True)
