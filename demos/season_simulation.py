@@ -25,7 +25,7 @@ SEASON = 2002
 
 ds = load_dataset(DATA / "fixtures" / "games.csv", DATA / "divisions.csv")
 schedule = build_schedule(ds, SEASON, WinModel())
-print(f"season {SEASON}: {len(schedule.entries)} games, {len(schedule.teams)} teams")
+print(f"season {SEASON}: {len(schedule.games)} games, {len(schedule.teams)} teams")
 
 result = simulate(schedule, replications=1000, seed=2002)
 predictions = predict_division_winners(result, schedule, ds.divisions)

@@ -18,9 +18,7 @@ import numpy as np
 from .dataset import Dataset, GameRecord, GameTable
 from .stats import check_positive
 
-#: Default bin widths: half-point market granularity for spreads, whole
-#: points for line-difference values.
-SPREAD_BIN_WIDTH = 0.5
+#: Default bin width for line-difference values: whole points.
 LD_BIN_WIDTH = 1.0
 
 

@@ -23,14 +23,12 @@ class NoGamesAtSpreadError(ValueError):
 
 @dataclass(frozen=True)
 class WinModel:
-    """Win probability of a p-point favorite is cdf((p - mu) / sigma).
+    """Win probability of a p-point favorite is cdf(p / sigma).
 
     The fitted sample mean of the line error is close enough to zero
-    that the model fixes mu = 0 by default; it is stored separately so
-    the fitted-mean variant stays testable.
+    that the model centres the error at 0.
     """
 
-    mu: float = 0.0
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
@@ -43,7 +41,7 @@ def win_probability(model: WinModel, spread: float) -> float:
     Positive spread means the team is favored by that much; negative
     means underdog; 0 is a coin flip.
     """
-    return std_normal_cdf((spread - model.mu) / model.sigma)
+    return std_normal_cdf(spread / model.sigma)
 
 
 def parlay_probability(model: WinModel, spreads: Sequence[float]) -> float:

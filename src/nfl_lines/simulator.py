@@ -9,15 +9,16 @@ limit per game: a word is a home win exactly when numpy's
 ``Generator.random()`` would turn it into a float below the game's
 probability, so layout, seeds and outputs are those of the float draws.
 
-A season's schedule keeps its games as rows of the dataset's GameTable:
-actual wins and head-to-head tie-breaks are one tally over those rows.
+A season's schedule holds its games once, as GameTable rows and a column of
+home win probabilities: simulation, actual wins and tie-breaks read only those.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,31 +46,36 @@ class IncompleteScheduleWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    game_index: int
     home: str
     away: str
     home_win_prob: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeasonSchedule:
     """One season's games with model win probabilities and actual win tallies.
 
-    ``actual_wins`` credits 0.5 to each side of a straight-up tie; reports
-    floor the value. ``games`` holds the season's regular-season rows of
-    the dataset's GameTable, ``entries[i]`` being row ``i``; head-to-head
-    tie-breaks tally them.
+    ``games`` holds the season's regular-season GameTable rows, indexed by
+    the teams that play it (``teams``), and ``home_win_prob[i]`` is row
+    ``i``'s model home win probability. ``actual_wins`` credits 0.5 to each
+    side of a straight-up tie; reports floor the value.
     """
 
     season: int
-    entries: tuple[ScheduleEntry, ...]
+    games: GameTable
+    home_win_prob: np.ndarray
     actual_wins: Mapping[str, float]
-    games: GameTable = field(default=GameTable.of_records(()), compare=False)
 
     @property
     def teams(self) -> tuple[str, ...]:
-        seen = {e.home for e in self.entries} | {e.away for e in self.entries}
-        return tuple(sorted(seen))
+        return self.games.teams
+
+    @cached_property
+    def entries(self) -> tuple[ScheduleEntry, ...]:
+        """The games as ScheduleEntry rows, read back from the columns on first use."""
+        team = self.teams.__getitem__
+        home, away = map(team, self.games.home.tolist()), map(team, self.games.away.tolist())
+        return tuple(map(ScheduleEntry, home, away, self.home_win_prob.tolist()))
 
 
 def build_schedule(dataset: Dataset, season: int, model: WinModel) -> SeasonSchedule:
@@ -83,23 +89,19 @@ def build_schedule(dataset: Dataset, season: int, model: WinModel) -> SeasonSche
     games = table.take((table.season == season) & (table.week <= REGULAR_SEASON_MAX_WEEK))
     if not len(games):
         raise MissingSeasonError(season)
-    teams = games.teams
-    rows = zip(games.home.tolist(), games.away.tolist(), games.line_close.tolist())
-    entries = tuple(
-        ScheduleEntry(i, teams[home], teams[away], win_probability(model, line))
-        for i, (home, away, line) in enumerate(rows)
-    )
-    counts = np.bincount(np.append(games.home, games.away), minlength=len(teams))
-    short = [teams[i] for i in np.flatnonzero((counts > 0) & (counts != GAMES_PER_TEAM)).tolist()]
+    played, sides = np.unique(np.append(games.home, games.away), return_inverse=True)
+    teams = tuple(table.teams[i] for i in played.tolist())
+    games = replace(games, home=sides[: len(games)], away=sides[len(games) :], teams=teams)
+    probs = np.array([win_probability(model, line) for line in games.line_close.tolist()], dtype=np.float64)
+    counts = np.bincount(sides)
+    short = [teams[i] for i in np.flatnonzero(counts != GAMES_PER_TEAM).tolist()]
     if short:
         warnings.warn(
             f"season {season}: teams with a schedule other than {GAMES_PER_TEAM} games: {short}",
             IncompleteScheduleWarning,
             stacklevel=2,
         )
-    wins = _wins(games).tolist()
-    actual = {teams[i]: wins[i] for i in np.flatnonzero(counts).tolist()}
-    return SeasonSchedule(season, entries, actual, games)
+    return SeasonSchedule(season, games, probs, dict(zip(teams, _wins(games).tolist())))
 
 
 def _wins(games: GameTable) -> np.ndarray:
@@ -142,13 +144,13 @@ def simulate(
     seed64 = int(seed)
     if not 0 <= seed64 < 2**64:  # a wider seed would alias one inside the range
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    probs = np.array([e.home_win_prob for e in schedule.entries], dtype=np.float64)
+    probs = schedule.home_win_prob
     bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))  # nan fails both
     if bad.size:
-        e = schedule.entries[bad[0]]
+        g = int(bad[0])
+        season, _, home, away = schedule.games.key(g)
         raise ValueError(
-            f"game {e.game_index} ({e.away} at {e.home}, season {schedule.season}): "
-            f"home_win_prob must be in [0, 1], got {e.home_win_prob}"
+            f"game {g} ({away} at {home}, season {season}): home_win_prob must be in [0, 1], got {probs[g].item()}"
         )
     # Generator.random() maps word w to (w >> 11) * 2**-53, so its draw is below p
     # exactly when w < ceil(p * 2**53) << 11; p = 1 would need 2**64, past a uint64,
@@ -156,9 +158,7 @@ def simulate(
     limits = np.ceil(probs * 2.0**53).astype(np.uint64) << 11
     certain = np.flatnonzero(probs == 1.0)
     teams = schedule.teams
-    index = {t: i for i, t in enumerate(teams)}
-    home_idx = np.array([index[e.home] for e in schedule.entries], dtype=np.intp)
-    away_idx = np.array([index[e.away] for e in schedule.entries], dtype=np.intp)
+    home_idx, away_idx = schedule.games.home, schedule.games.away
     n_teams = len(teams)
     # wins = home_win @ incidence (+1 home, -1 away) + away games
     eye = np.eye(n_teams, dtype=np.int64)
@@ -181,8 +181,8 @@ def simulate(
             samples[start : start + rows] = wins.astype(np.int64) + away_games
     totals = home_counts @ incidence + replications * away_games
     mean = totals / replications
-    mean_wins = {t: float(mean[i]) for t, i in index.items()}
-    predicted = {t: int(math.floor(mean[i] + 0.5)) for t, i in index.items()}
+    mean_wins = {t: float(mean[i]) for i, t in enumerate(teams)}
+    predicted = {t: int(math.floor(mean[i] + 0.5)) for i, t in enumerate(teams)}
     return SimulationResult(replications, seed64, teams, mean_wins, predicted, samples)
 
 

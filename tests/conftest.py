@@ -3,11 +3,13 @@ from datetime import date
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from nfl_lines.dataset import Dataset, GameRecord, GameSide, load_dataset, load_divisions
+from nfl_lines.dataset import Dataset, GameRecord, GameSide, GameTable, load_dataset, load_divisions
 from nfl_lines.metrics import AtsOutcome, UnresolvableSideError, line_difference
+from nfl_lines.simulator import SeasonSchedule
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -73,6 +75,17 @@ def make_game(
 
 def make_dataset(games, divisions):
     return Dataset(tuple(games), divisions, provenance="test")
+
+
+def make_schedule(rows, actual_wins=None, season=2002):
+    """A SeasonSchedule from (home, away, home_win_prob) rows, one game a week.
+
+    A row may go on with (home_score, away_score), which default as in
+    ``make_game``. ``actual_wins`` is taken as given, not tallied.
+    """
+    games = [make_game(season, week, home, away, *scores) for week, (home, away, _, *scores) in enumerate(rows, 1)]
+    probs = np.array([row[2] for row in rows], dtype=np.float64)
+    return SeasonSchedule(season, GameTable.of_records(games), probs, dict(actual_wins or {}))
 
 
 # -- record oracles: the per-game forms of the column settlement -------------

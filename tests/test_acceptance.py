@@ -33,8 +33,6 @@ from nfl_lines.prob_model import (
     win_probability,
 )
 from nfl_lines.simulator import (
-    ScheduleEntry,
-    SeasonSchedule,
     build_schedule,
     predict_division_winners,
     score_predictions,
@@ -42,7 +40,7 @@ from nfl_lines.simulator import (
 )
 from nfl_lines.stats import chi_square_gof, moments, proportion_z
 
-from conftest import DIVISIONS, FIXTURE_GAMES, REAL_GAMES, make_dataset, make_game
+from conftest import DIVISIONS, FIXTURE_GAMES, REAL_GAMES, make_dataset, make_game, make_schedule
 from test_prob_model import brute_force_pmf
 
 MODEL = WinModel()
@@ -83,8 +81,7 @@ def test_poisson_binomial_oracle():
 
 def test_simulator_convergence_and_conservation():
     probs = [0.697, 0.529, 0.42, 0.87, 0.5, 0.61, 0.33, 0.76, 0.5, 0.55, 0.645, 0.71, 0.48, 0.52, 0.9, 0.39]
-    entries = tuple(ScheduleEntry(i, "NE", f"T{i:02d}", p) for i, p in enumerate(probs))
-    schedule = SeasonSchedule(2002, entries, {})
+    schedule = make_schedule([("NE", f"T{i:02d}", p) for i, p in enumerate(probs)])
     result = simulate(schedule, 10_000, seed=4242, keep_samples=True)
     exact = poisson_binomial(probs).mean()
     assert abs(result.mean_wins["NE"] - exact) <= 0.15

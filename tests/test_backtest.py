@@ -160,6 +160,18 @@ def test_compare_to_breakeven_requires_decided_bets(divisions):
         compare_to_breakeven(ledger)
 
 
+def test_compare_to_breakeven_at_as_many_wins_as_losses(divisions):
+    games = [
+        make_game(week=1, home="NE", away="NYJ", home_score=20, away_score=10, line_close=3.0),
+        make_game(week=1, home="MIA", away="BUF", home_score=10, away_score=20, line_close=3.0),
+    ]
+    ledger = run_strategy(make_dataset(games, divisions), ALL_HOME, stake=110.0, win_payout=100.0)
+    assert (ledger.wins, ledger.losses) == (1, 1)
+    comparison = compare_to_breakeven(ledger, stake=110.0, win_payout=100.0)
+    assert comparison.margin == pytest.approx(0.5 - 110 / 210)
+    assert not comparison.profitable
+
+
 def test_exact_boundary_is_not_profitable(divisions):
     # 11 wins and 10 losses at 110/100 pricing nets exactly zero
     games = []

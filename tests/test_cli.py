@@ -7,6 +7,8 @@ import pytest
 
 from nfl_lines import __version__
 from nfl_lines.cli import main
+from nfl_lines.prob_model import WinModel
+from nfl_lines.simulator import SeasonSchedule, build_schedule, predict_division_winners, simulate, simulation_to_csv
 
 from conftest import DIVISIONS, FIXTURE_GAMES, REPO
 
@@ -182,6 +184,13 @@ def test_backtest_report(capsys):
     assert "win ratio" in out
     assert "break-even ratio: 0.5238" in out
     assert "mirror check: ok" in out
+
+
+def test_backtest_with_no_bets(capsys):
+    code, out, _ = run(capsys, "backtest", *DATA_ARGS, "--strategy", "home-underdog", "--seasons", "1990")
+    assert code == 0
+    assert "bets: 0 (W 0 / L 0 / P 0)" in out
+    assert "margin vs break-even" not in out
 
 
 def test_movement_report(capsys):
@@ -382,3 +391,20 @@ def test_commands_build_no_records(argv, capsys, no_records):
     code, out, _ = run(capsys, *argv, *GOLDEN_DATA_ARGS)
     assert code == 0
     assert out
+
+
+def test_simulation_reads_no_schedule_entries(regular_dataset, capsys, monkeypatch):
+    """The schedule's columns are all a simulation reads: ``entries`` is only a view."""
+
+    def no_entries(schedule):
+        raise AssertionError("SeasonSchedule.entries was read")
+
+    monkeypatch.setattr(SeasonSchedule, "entries", property(no_entries))
+    schedule = build_schedule(regular_dataset, 2002, WinModel())
+    result = simulate(schedule, 100, seed=2)
+    predictions = predict_division_winners(result, schedule, regular_dataset.divisions)
+    assert simulation_to_csv(result, schedule, regular_dataset.divisions, predictions)
+    for name in ("simulate-2002.csv", "predict-divisions.csv"):
+        code, out, _ = run(capsys, *GOLDEN_COMMANDS[name], *GOLDEN_DATA_ARGS)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -50,9 +50,10 @@ from nfl_lines.metrics import (
     movement_magnitude,
     pick_em_count,
 )
-from nfl_lines.prob_model import EmpiricalWinRate, NoGamesAtSpreadError, WinModel, empirical_win_rate
+from nfl_lines.prob_model import EmpiricalWinRate, NoGamesAtSpreadError, WinModel, empirical_win_rate, win_probability
 from nfl_lines.simulator import (
     IncompleteScheduleWarning,
+    ScheduleEntry,
     _actual_division_winner,
     build_schedule,
     predict_division_winners,
@@ -376,8 +377,9 @@ def check_filters(dataset):
 
 
 def check_schedules(dataset):
-    """Each season's games, actual wins and head-to-head tie-breaks: every
-    division, all teams at once, and every pair of teams level on wins."""
+    """Each season's games, teams, win probabilities, entries, actual wins and
+    head-to-head tie-breaks: every division, all teams at once, and every
+    pair of teams level on wins."""
     for season in dataset.seasons():
         games = oracle_filter(dataset, seasons=season, regular_season_only=True)
         if not games:
@@ -386,6 +388,10 @@ def check_schedules(dataset):
             warnings.simplefilter("ignore", IncompleteScheduleWarning)
             schedule = build_schedule(dataset, season, WinModel())
         assert schedule.games.records() == games
+        assert schedule.teams == tuple(sorted({g.home for g in games} | {g.away for g in games}))
+        probs = [win_probability(WinModel(), g.line_close) for g in games]
+        assert_same(schedule.home_win_prob.tolist(), probs)
+        assert_same(schedule.entries, tuple(ScheduleEntry(g.home, g.away, p) for g, p in zip(games, probs)))
         actual = oracle_actual_wins(games)
         assert_same(schedule.actual_wins, actual)
         groups = [[t for t in teams if t in actual] for _, _, teams in dataset.divisions.cells()]

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nfl_lines.dataset import GameTable, UnknownTeamError
+from nfl_lines.dataset import UnknownTeamError
 from nfl_lines.prob_model import WinModel, expected_wins, poisson_binomial
 from nfl_lines.simulator import (
     SIM_BLOCK,
     DivisionPrediction,
     IncompleteScheduleWarning,
     MissingSeasonError,
-    ScheduleEntry,
-    SeasonSchedule,
     SimulationResult,
     build_schedule,
     predict_division_winners,
@@ -20,20 +18,17 @@ from nfl_lines.simulator import (
     simulation_to_csv,
 )
 
-from conftest import make_dataset, make_game
+from conftest import make_dataset, make_game, make_schedule
 
 MODEL = WinModel()
 
 
 def test_build_schedule_shape(regular_dataset):
     schedule = build_schedule(regular_dataset, 2002, MODEL)
-    assert len(schedule.entries) == 256
+    assert len(schedule.games) == 256
     assert len(schedule.teams) == 32
-    appearances = {}
-    for e in schedule.entries:
-        appearances[e.home] = appearances.get(e.home, 0) + 1
-        appearances[e.away] = appearances.get(e.away, 0) + 1
-    assert set(appearances.values()) == {16}
+    appearances = np.bincount(np.append(schedule.games.home, schedule.games.away))
+    assert set(appearances.tolist()) == {16}
     # every game hands out exactly one win (ties split it)
     assert sum(schedule.actual_wins.values()) == 256
 
@@ -45,8 +40,8 @@ def test_build_schedule_probabilities(divisions):
         make_game(week=2, home="NE", away="MIA", line_close=7.0),
     ]
     schedule = build_schedule(make_dataset(games, divisions), 2002, MODEL)
-    assert schedule.entries[0].home_win_prob == 0.5
-    assert abs(schedule.entries[1].home_win_prob - 0.697) < 5e-4
+    assert schedule.home_win_prob[0] == 0.5
+    assert abs(schedule.home_win_prob[1] - 0.697) < 5e-4
 
 
 def test_build_schedule_missing_season(regular_dataset):
@@ -60,17 +55,28 @@ def test_build_schedule_warns_on_short_schedules(regular_dataset):
         build_schedule(two_weeks, 2002, MODEL)
 
 
+def test_short_schedule_warning_names_only_teams_that_play(regular_dataset):
+    # NE plays 2003 but no 2002 game: its opponents are short, NE is not named
+    dropped = [g for g in regular_dataset if g.season == 2002 and "NE" in (g.home, g.away)]
+    opponents = sorted({g.away if g.home == "NE" else g.home for g in dropped})
+    kept = [g for g in regular_dataset if g not in dropped]
+    with pytest.warns(IncompleteScheduleWarning) as caught:
+        schedule = build_schedule(make_dataset(kept, regular_dataset.divisions), 2002, MODEL)
+    assert [str(w.message) for w in caught] == [
+        f"season 2002: teams with a schedule other than 16 games: {opponents}"
+    ]
+    assert "NE" not in schedule.teams
+
+
 def test_build_schedule_excludes_postseason(fixture_dataset):
     schedule = build_schedule(fixture_dataset, 2002, MODEL)
-    assert len(schedule.entries) == 256
+    assert len(schedule.games) == 256
 
 
 def _toy_schedule(probs, team="NE", opponents=None):
     opponents = opponents or [f"T{i:02d}" for i in range(len(probs))]
-    entries = tuple(
-        ScheduleEntry(i, team, opp, p) for i, (opp, p) in enumerate(zip(opponents, probs))
-    )
-    return SeasonSchedule(2002, entries, {team: 0.0, **{o: 0.0 for o in opponents}})
+    rows = [(team, opp, p) for opp, p in zip(opponents, probs)]
+    return make_schedule(rows, {team: 0.0, **{o: 0.0 for o in opponents}})
 
 
 def test_simulate_certain_home_wins():
@@ -109,10 +115,8 @@ def _reference_win_samples(schedule, replications, seed):
     """Stream layout 2: one fresh Philox(key=[seed64, b]) per block of SIM_BLOCK
     replications, its draws read row by row; wins by bincount."""
     teams = schedule.teams
-    index = {t: i for i, t in enumerate(teams)}
-    probs = np.array([e.home_win_prob for e in schedule.entries])
-    home_idx = np.array([index[e.home] for e in schedule.entries], dtype=np.intp)
-    away_idx = np.array([index[e.away] for e in schedule.entries], dtype=np.intp)
+    probs = schedule.home_win_prob
+    home_idx, away_idx = schedule.games.home, schedule.games.away
     seed64 = int(seed) & (2**64 - 1)
     samples = np.zeros((replications, len(teams)), dtype=np.int64)
     for b, start in enumerate(range(0, replications, SIM_BLOCK)):
@@ -176,7 +180,7 @@ def test_simulate_matches_float_draws_at_edge_probabilities(seed, replications):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_simulate_matches_float_draws_at_sigma_near_zero(regular_dataset, seed):
     schedule = build_schedule(regular_dataset, 2002, WinModel(sigma=1e-300))
-    assert {e.home_win_prob for e in schedule.entries} == {0.0, 0.5, 1.0}
+    assert set(schedule.home_win_prob.tolist()) == {0.0, 0.5, 1.0}
     kept = simulate(schedule, SIM_BLOCK + 1, seed=seed, keep_samples=True)
     assert np.array_equal(kept.win_samples, _reference_win_samples(schedule, SIM_BLOCK + 1, seed))
 
@@ -217,7 +221,7 @@ def test_simulate_rejects_a_probability_outside_0_1(prob):
 def test_simulate_conservation(regular_dataset):
     schedule = build_schedule(regular_dataset, 2003, MODEL)
     result = simulate(schedule, 100, seed=3, keep_samples=True)
-    assert (result.win_samples.sum(axis=1) == len(schedule.entries)).all()
+    assert (result.win_samples.sum(axis=1) == len(schedule.games)).all()
 
 
 def test_simulate_converges_to_exact_mean():
@@ -234,9 +238,10 @@ def test_simulate_linearity_bound(regular_dataset):
     schedule = build_schedule(regular_dataset, 2002, MODEL)
     result = simulate(schedule, 2000, seed=20)
     by_team = {t: [] for t in schedule.teams}
-    for e in schedule.entries:
-        by_team[e.home].append(e.home_win_prob)
-        by_team[e.away].append(1.0 - e.home_win_prob)
+    games = schedule.games
+    for home, away, p in zip(games.home.tolist(), games.away.tolist(), schedule.home_win_prob.tolist()):
+        by_team[schedule.teams[home]].append(p)
+        by_team[schedule.teams[away]].append(1.0 - p)
     for team, probs in by_team.items():
         se = math.sqrt(sum(p * (1 - p) for p in probs) / result.replications)
         assert abs(result.mean_wins[team] - expected_wins(probs)) <= 4.0 * se
@@ -286,7 +291,7 @@ def test_predict_division_winners_strict(divisions):
     # AFC East teams: BUF, MIA, NE, NYJ
     teams = ["BUF", "MIA", "NE", "NYJ"]
     result = _result(teams, {"BUF": 6, "MIA": 7, "NE": 11, "NYJ": 9})
-    schedule = SeasonSchedule(2002, (), {"NE": 13.0, "NYJ": 8.0, "BUF": 6.0, "MIA": 6.0})
+    schedule = make_schedule([], {"NE": 13.0, "NYJ": 8.0, "BUF": 6.0, "MIA": 6.0})
     preds = predict_division_winners(result, schedule, divisions)
     assert len(preds) == 1
     p = preds[0]
@@ -298,7 +303,7 @@ def test_predict_division_winners_strict(divisions):
 def test_predict_division_winners_tie_decided_in_our_favor(divisions):
     teams = ["BUF", "MIA", "NE", "NYJ"]
     result = _result(teams, {"BUF": 6, "MIA": 10, "NE": 10, "NYJ": 9})
-    schedule = SeasonSchedule(2002, (), {"NE": 13.0, "NYJ": 8.0, "BUF": 6.0, "MIA": 10.0})
+    schedule = make_schedule([], {"NE": 13.0, "NYJ": 8.0, "BUF": 6.0, "MIA": 10.0})
     p = predict_division_winners(result, schedule, divisions)[0]
     assert p.tied_set == frozenset({"MIA", "NE"})
     assert p.correct  # actual winner NE is inside the tied set
@@ -308,7 +313,7 @@ def test_predict_division_winners_tie_decided_in_our_favor(divisions):
 def test_predict_division_winners_tie_miss(divisions):
     teams = ["BUF", "MIA", "NE", "NYJ"]
     result = _result(teams, {"BUF": 10, "MIA": 10, "NE": 7, "NYJ": 9})
-    schedule = SeasonSchedule(2002, (), {"NE": 13.0, "NYJ": 8.0, "BUF": 6.0, "MIA": 10.0})
+    schedule = make_schedule([], {"NE": 13.0, "NYJ": 8.0, "BUF": 6.0, "MIA": 10.0})
     p = predict_division_winners(result, schedule, divisions)[0]
     assert not p.correct
     assert p.predicted_winner == "BUF"  # lexicographic among the tied set
@@ -317,10 +322,8 @@ def test_predict_division_winners_tie_miss(divisions):
 def test_actual_tie_breaks_head_to_head(divisions):
     teams = ["BUF", "MIA", "NE", "NYJ"]
     result = _result(teams, {"BUF": 6, "MIA": 8, "NE": 10, "NYJ": 9})
-    h2h = make_game(week=5, home="NYJ", away="NE", home_score=24, away_score=10, line_close=-3.0)
-    schedule = SeasonSchedule(
-        2002, (), {"NE": 10.0, "NYJ": 10.0, "BUF": 6.0, "MIA": 8.0}, games=GameTable.of_records((h2h,))
-    )
+    h2h = ("NYJ", "NE", 0.5, 24, 10)
+    schedule = make_schedule([h2h], {"NE": 10.0, "NYJ": 10.0, "BUF": 6.0, "MIA": 8.0})
     p = predict_division_winners(result, schedule, divisions)[0]
     assert p.actual_winner == "NYJ"  # beat NE head to head
     assert p.actual_tie
@@ -329,7 +332,7 @@ def test_actual_tie_breaks_head_to_head(divisions):
 
 def test_predict_division_winners_unknown_team(divisions):
     result = _result(["ZZZ"], {"ZZZ": 10})
-    schedule = SeasonSchedule(2002, (), {"ZZZ": 10.0})
+    schedule = make_schedule([], {"ZZZ": 10.0})
     with pytest.raises(UnknownTeamError):
         predict_division_winners(result, schedule, divisions)
 

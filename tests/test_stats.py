@@ -227,6 +227,8 @@ def test_gof_narrow_width_fails_fast():
 def test_gof_insufficient_data():
     with pytest.raises(InsufficientDataError):
         chi_square_gof([0.0] * 29, 13.588)
+    # 30 values are enough: wide bins leave cells to test
+    assert chi_square_gof(np.linspace(-20.0, 20.0, 30), 13.588, bin_width=8.0).bins_used == 5
 
 
 def test_gof_degenerate_binning():
